@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from nakamura.cli import main
 
@@ -67,6 +70,33 @@ def test_analyze_vetoer(tmp_path, capsys):
     report = json.loads(out)
     assert report["nakamura"]["value"] == "inf"
     assert report["classification"]["vetoers"] == [1]
+
+
+# Byte-exact stdout pinned per game file in tests/golden: <name>.game is the
+# input, <name>.<command>.<ext> the expected output.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = [
+    ("ex2", "analyze"),
+    ("complete", "analyze"),
+    ("veto", "analyze"),
+    ("csp", "analyze"),
+    ("simple3", "analyze"),
+    ("distinct8", "analyze"),  # alpha-roughly bound printed
+    ("wide18", "analyze"),  # critical LP over 3,000 rows: alpha skipped
+    ("cover11", "nakamura"),  # weighted, cover solver
+    ("prefix14", "nakamura"),  # complete, prefix covering program
+    ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
+]
+GOLDEN_ARGS = {"analyze": ("--json", "json"), "nakamura": ("--witness", "txt")}
+
+
+@pytest.mark.parametrize("name,command", GOLDEN_RUNS)
+def test_golden_output(name, command, capsys):
+    flag, ext = GOLDEN_ARGS[command]
+    expected = (GOLDEN / f"{name}.{command}.{ext}").read_bytes().decode()
+    code, out = run(capsys, command, str(GOLDEN / f"{name}.game"), flag)
+    assert code == 0
+    assert out == expected
 
 
 def test_nakamura_witness(tmp_path, capsys):
