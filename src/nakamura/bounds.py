@@ -35,8 +35,6 @@ from .games import (
     SimpleGame,
     WeightedRep,
     maximal_losing,
-    min_winning_vectors_weighted,
-    weight_groups,
 )
 
 
@@ -167,36 +165,6 @@ def validate_alpha_roughly(game: SimpleGame, weights: Sequence, alpha) -> bool:
     return all(wsum(t) <= alpha for t in maximal_losing(game))
 
 
-def _symmetric_blocks(game: SimpleGame):
-    """(sizes, players-per-block, minimal winning count vectors).
-
-    Uses equal-weight groups when the game carries a weighted
-    representation, or the class blocks of a complete-game expansion
-    (members of a block are interchangeable, which is all the
-    symmetrization below needs); otherwise every player is its own block
-    and vectors are plain incidence rows.
-    """
-    if game.rep is not None:
-        groups = weight_groups(game.rep)
-        vectors = min_winning_vectors_weighted(game.rep)
-        return [len(g) for g in groups], groups, vectors
-    if game.complete is not None:
-        from .games import minimal_winning_vectors
-
-        sizes = list(game.complete.class_sizes)
-        groups = []
-        base = 0
-        for nj in sizes:
-            groups.append(list(range(base, base + nj)))
-            base += nj
-        return sizes, groups, minimal_winning_vectors(game.complete)
-    groups = [[i] for i in range(game.n)]
-    vectors = [
-        tuple((w >> i) & 1 for i in range(game.n)) for w in game.min_winning
-    ]
-    return [1] * game.n, groups, vectors
-
-
 def max_quota_lp(game: SimpleGame) -> LpOutcome:
     """Maximize the relative quota over normalized non-negative weights.
 
@@ -207,7 +175,8 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
     returned pair are asserted exactly, so a wrong certificate cannot
     escape.
     """
-    sizes, groups, vectors = _symmetric_blocks(game)
+    view = game.view
+    sizes, vectors = view.sizes, view.winning
     t = len(sizes)
     nv = len(vectors)
     # variables: y_V for each vector, then v
@@ -235,25 +204,21 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
     )
     if attained != qstar:  # pragma: no cover - certificate guard
         raise InvariantError("quota LP certificate does not attain optimum")
-    weights = [Fraction(0)] * game.n
-    for j, players in enumerate(groups):
-        for p in players:
-            weights[p] = block_w[j]
     estar = 1 - qstar
     delta = estar / (1 - estar) if estar != 1 else None
     if delta is None:  # pragma: no cover - q* = 0 impossible (grand wins)
         raise InvariantError("relative quota of zero")
     bound = None if estar == 0 else ceil(1 / estar)
-    return LpOutcome(qstar, tuple(weights), estar, delta, bound)
+    return LpOutcome(qstar, view.per_player(block_w), estar, delta, bound)
 
 
-def lp_lower_bound(game: SimpleGame, *, cheap_only: bool = False) -> Optional[int]:
-    """The quota-LP lower bound, or None when skipped under ``cheap_only``.
+def lp_lower_bound(game: SimpleGame) -> Optional[int]:
+    """The quota-LP lower bound when it is cheap to get, else None.
 
     Cheap means the game carries a weighted representation (class-reduced
     LP) or has a small antichain.
     """
-    if cheap_only and game.rep is None and len(game.min_winning) > 300:
+    if game.rep is None and len(game.min_winning) > 300:
         return None
     return max_quota_lp(game).nak_lower_bound
 
@@ -262,38 +227,25 @@ def lp_lower_bound(game: SimpleGame, *, cheap_only: bool = False) -> Optional[in
 _ALPHA_ROW_CAP = 3000
 
 
+def _critical_lp(width: int, winning, losing) -> tuple[Fraction, tuple]:
+    """Minimize alpha over ``width`` non-negative weights: every winning row
+    weighs at least 1, every losing row at most alpha."""
+    rows = [(list(v) + [0], ">=", 1) for v in winning]
+    rows += [(list(u) + [-1], "<=", 0) for u in losing]
+    res = lp.solve_lp([0] * width + [1], rows)
+    if res.status != lp.OPTIMAL:  # pragma: no cover
+        raise InvariantError(f"critical threshold LP unexpectedly {res.status}")
+    return res.objective, tuple(res.x[:width])
+
+
 def alpha_critical(game: SimpleGame) -> Fraction:
     """Least alpha for which a rough representation exists.
 
-    Solves: minimize alpha with every minimal winning coalition weighing at
-    least 1 and every maximal losing coalition at most alpha.  Below 1
-    exactly for weighted games.  Complete-game expansions are solved over
-    one weight per class, which is lossless for class-symmetric games.
+    Minimize alpha with every minimal winning coalition weighing at least 1
+    and every maximal losing coalition at most alpha.  Below 1 exactly for
+    weighted games.
     """
-    if game.complete is not None:
-        from .games import maximal_losing_vectors, minimal_winning_vectors
-
-        g = game.complete
-        return alpha_critical_vectors(
-            g.class_sizes, minimal_winning_vectors(g), maximal_losing_vectors(g)
-        )
-    losing = maximal_losing(game)
-    n = game.n
-    if len(game.min_winning) + len(losing) > _ALPHA_ROW_CAP:
-        raise CapacityError(
-            f"critical-threshold LP over {len(game.min_winning)} + "
-            f"{len(losing)} antichain rows exceeds {_ALPHA_ROW_CAP}"
-        )
-    costs = [0] * n + [1]
-    rows = []
-    for w in game.min_winning:
-        rows.append(([(w >> i) & 1 for i in range(n)] + [0], ">=", 1))
-    for tmask in losing:
-        rows.append(([(tmask >> i) & 1 for i in range(n)] + [-1], "<=", 0))
-    res = lp.solve_lp(costs, rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover
-        raise InvariantError(f"critical threshold LP unexpectedly {res.status}")
-    return res.objective
+    return critical_rough_representation(game)[0]
 
 
 def alpha_critical_vectors(
@@ -305,56 +257,35 @@ def alpha_critical_vectors(
     permutations: some optimal rough representation is then constant on
     classes, so restricting the LP to one weight per class loses nothing.
     """
-    t = len(class_sizes)
-    costs = [0] * t + [1]
-    rows = []
-    for v in winning:
-        rows.append((list(v) + [0], ">=", 1))
-    for u in losing:
-        rows.append((list(u) + [-1], "<=", 0))
-    res = lp.solve_lp(costs, rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover
-        raise InvariantError(f"critical threshold LP unexpectedly {res.status}")
-    return res.objective
+    return _critical_lp(len(class_sizes), winning, losing)[0]
 
 
 def critical_rough_representation(
     game: SimpleGame,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """The critical threshold together with per-player weights attaining it."""
-    if game.complete is not None:
-        from .games import maximal_losing_vectors, minimal_winning_vectors
+    """The critical threshold together with per-player weights attaining it.
 
-        g = game.complete
-        t = len(g.class_sizes)
-        costs = [0] * t + [1]
-        rows = [
-            (list(v) + [0], ">=", 1) for v in minimal_winning_vectors(g)
-        ] + [
-            (list(u) + [-1], "<=", 0) for u in maximal_losing_vectors(g)
-        ]
-        res = lp.solve_lp(costs, rows)
-        weights = []
-        for j, nj in enumerate(g.class_sizes):
-            weights.extend([res.x[j]] * nj)
-        return res.objective, tuple(weights)
-    losing = maximal_losing(game)
-    n = game.n
-    if len(game.min_winning) + len(losing) > _ALPHA_ROW_CAP:
+    Complete games are solved over one weight per class, which is lossless
+    for class-symmetric games; every other game over one weight per player,
+    with at most ``_ALPHA_ROW_CAP`` antichain rows.
+    """
+    view = game.view
+    if view.source == "classes":
+        alpha, x = _critical_lp(len(view.sizes), view.winning, view.losing)
+        return alpha, view.per_player(x)
+    losing = view.coalition_count(view.losing)
+    if len(game.min_winning) + losing > _ALPHA_ROW_CAP:
         raise CapacityError(
             f"critical-threshold LP over {len(game.min_winning)} + "
-            f"{len(losing)} antichain rows exceeds {_ALPHA_ROW_CAP}"
+            f"{losing} antichain rows exceeds {_ALPHA_ROW_CAP}"
         )
-    costs = [0] * n + [1]
-    rows = []
-    for w in game.min_winning:
-        rows.append(([(w >> i) & 1 for i in range(n)] + [0], ">=", 1))
-    for tmask in losing:
-        rows.append(([(tmask >> i) & 1 for i in range(n)] + [-1], "<=", 0))
-    res = lp.solve_lp(costs, rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover
-        raise InvariantError(f"critical threshold LP unexpectedly {res.status}")
-    return res.objective, tuple(res.x[:n])
+
+    def incidence(masks):
+        return [[(m >> i) & 1 for i in range(game.n)] for m in masks]
+
+    return _critical_lp(
+        game.n, incidence(game.min_winning), incidence(maximal_losing(game))
+    )
 
 
 def is_weighted_vectors(class_sizes, winning, losing) -> bool:

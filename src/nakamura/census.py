@@ -11,15 +11,13 @@ the critical-threshold LP over count vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterator, Optional
 
 from .bounds import is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
-    maximal_losing_vectors,
-    minimal_winning_vectors,
+    class_view,
     prefix_sums,
     shift_incomparable,
 )
@@ -108,12 +106,16 @@ def count_r1(n: int) -> int:
 
 
 def r1_value(sizes, row) -> Optional[int]:
-    """Nakamura number of a single-row complete game; None when infinite."""
+    """Nakamura number of a single-row complete game; None when infinite.
+
+    The closed form ``max_i ceil(O_i / (O_i - P_i))`` over the prefix sums
+    ``O`` of the class sizes and ``P`` of the row.
+    """
     if row[0] == sizes[0]:
         return None
     o = prefix_sums(sizes)
     p = prefix_sums(row)
-    return max(ceil(o[i] / (o[i] - p[i])) for i in range(len(sizes)))
+    return max(-(-o[i] // (o[i] - p[i])) for i in range(len(sizes)))
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,17 @@ def census(
         )
     counts: dict = {}
     for g in enumerate_r1(n, shards=shards, shard=shard):
-        if klass == WEIGHTED_R1 and not _r1_is_weighted(g):
+        if klass == WEIGHTED_R1 and not is_weighted_complete(g):
             continue
         v = r1_value(g.class_sizes, g.shift_min[0])
         counts[v] = counts.get(v, 0) + 1
     return CensusRow(n, klass, counts)
 
 
-def _r1_is_weighted(g: CompleteGame) -> bool:
-    winning = minimal_winning_vectors(g)
-    losing = maximal_losing_vectors(g)
-    return is_weighted_vectors(g.class_sizes, winning, losing)
+def is_weighted_complete(g: CompleteGame) -> bool:
+    """Whether a complete game is weighted, decided on its class view."""
+    view = class_view(g)
+    return is_weighted_vectors(view.sizes, view.winning, view.losing)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _nakamura_result(game, rep, complete):
     return nakamura_exact(game)
 
 
-def _bounds_list(game, rep) -> list[dict]:
+def _bounds_list(game, rep, lpo) -> list[dict]:
     out = []
     if rep is not None:
         wb = bounds_mod.weighted_bounds(rep)
@@ -116,7 +116,6 @@ def _bounds_list(game, rep) -> list[dict]:
             "vetoer": cb.vetoer,
         }
     )
-    lpo = bounds_mod.max_quota_lp(game)
     out.append({"method": "lp_quota", "lower": _fmt(lpo.nak_lower_bound)})
     try:
         alpha, weights = bounds_mod.critical_rough_representation(game)
@@ -158,9 +157,9 @@ def build_analysis(obj) -> dict:
     flags = structure_flags(game)
     classes, is_complete = desirability_classes(game)
     result = _nakamura_result(game, rep, complete)
-    blist = _bounds_list(game, rep)
-    _check_report(result.value, result.witness, game, blist)
     lpo = bounds_mod.max_quota_lp(game)
+    blist = _bounds_list(game, rep, lpo)
+    _check_report(result.value, result.witness, game, blist)
     report = {
         "schema": SCHEMA,
         "input": _input_echo(kind, rep, complete, game),
@@ -254,7 +253,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bounds(args) -> int:
     game, rep, complete, _ = _as_game(_load(args.file))
-    rows = _bounds_list(game, rep)
+    rows = _bounds_list(game, rep, bounds_mod.max_quota_lp(game))
     print(f"{'method':<16}{'lower':>8}{'upper':>8}")
     for b in rows:
         lo = b.get("lower", "-")
@@ -340,8 +339,7 @@ def cmd_family(args) -> int:
         print(text, end="")
         print(f"# nakamura: {_fmt(value)}")
         print(f"# quota ceiling: {built.ceiling}")
-        if isinstance(built.threshold_met, bool):
-            print(f"# padding threshold met: {built.threshold_met}")
+        print(f"# padding threshold met: {built.threshold_met}")
         print(f"# ceiling attained: {value == built.ceiling}")
         out_text = text
     else:
@@ -471,7 +469,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard", type=int, default=0)
-    p.add_argument("--csv", action="store_true", default=False)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.add_argument("--force", action="store_true", help="ignore size caps")

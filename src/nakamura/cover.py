@@ -66,7 +66,6 @@ def min_cover(
     n_sets = len(sets)
     order = sorted(range(n_sets), key=lambda i: (-sets[i].bit_count(), sets[i]))
     containing: dict[int, list[int]] = {}
-    bit = 1
     pos = 0
     u = universe
     while u:
@@ -74,7 +73,6 @@ def min_cover(
             containing[pos] = [i for i in order if sets[i] >> pos & 1]
         u >>= 1
         pos += 1
-        bit <<= 1
 
     best = list(greedy)
     best_size = len(greedy)

@@ -30,6 +30,8 @@ from .games import (
     InvariantError,
     SimpleGame,
     WeightedRep,
+    _maximal_counts_within_budget,
+    masks_with_vectors,
     maximal_losing,
     structure_flags,
 )
@@ -90,9 +92,12 @@ def patterns_from_instance(instance: CspInstance) -> PatternSet:
     for i, x in enumerate(lengths):
         if x > stock:
             raise InvalidGameError(f"item {i + 1} is longer than the stock")
-    from .games import _maximal_subsets_within_budget
-
-    masks = _maximal_subsets_within_budget(lengths, stock)
+    # one group per item, longest first
+    items = sorted(range(instance.m), key=lambda i: -lengths[i])
+    vectors = _maximal_counts_within_budget(
+        [lengths[i] for i in items], [1] * instance.m, stock
+    )
+    masks = masks_with_vectors([(i,) for i in items], vectors)
     return PatternSet(instance.m, tuple(sorted(masks)))
 
 

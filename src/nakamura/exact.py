@@ -13,24 +13,21 @@ classes, which stay small even when the antichain is huge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .cover import min_cover
+from .census import r1_value
+from .cover import greedy_cover, min_cover
 from .games import (
     CapacityError,
     CompleteGame,
     InvalidGameError,
     InvariantError,
     SimpleGame,
-    desirability_classes,
-    min_winning_vectors_weighted,
-    minimal_vectors,
+    desirability_vectors,
+    player_blocks,
     prefix_sums,
     sort_coalitions,
-    vector_of_mask,
-    weight_groups,
 )
 
 # Antichain size above which the automatic method switches from the cover
@@ -78,7 +75,7 @@ def nakamura_symmetric(n: int, qhat: int) -> NakamuraResult:
     if qhat == n:
         return INFINITE_RESULT
     d = n - qhat
-    k = ceil(n / d)
+    k = -(-n // d)
     grand = (1 << n) - 1
     witness = []
     for i in range(k):
@@ -117,15 +114,13 @@ def nakamura_exact(game: SimpleGame, *, method: str = "auto") -> NakamuraResult:
     universe = game.grand
     u_count = game.n
     max_size = max(c.bit_count() for c in complements)
-    comb_lb = ceil(u_count / max_size)
+    comb_lb = -(-u_count // max_size)
     root_lb = comb_lb
-    from .cover import greedy_cover
-
     greedy = greedy_cover(universe, complements)
     if greedy is None:  # pragma: no cover - excluded by the vetoer check
         return INFINITE_RESULT
     if len(greedy) > comb_lb:
-        lp_lb = bounds_mod.lp_lower_bound(game, cheap_only=True)
+        lp_lb = bounds_mod.lp_lower_bound(game)
         if lp_lb is not None:
             root_lb = max(root_lb, lp_lb)
     chosen = min_cover(universe, complements, root_lb=root_lb)
@@ -158,31 +153,15 @@ class VectorIlpInstance:
 def vector_instance(game: SimpleGame) -> VectorIlpInstance:
     """Build the condensed instance from a game's minimal winning vectors.
 
-    Classes come from equal-weight groups when a weighted representation is
-    attached (their members are interchangeable, which is all the
-    condensation needs), otherwise from the desirability partition.
+    Classes are the blocks of ``game.view`` (their members are
+    interchangeable, which is all the condensation needs); a view with one
+    block per player is first coarsened to the desirability partition.
     """
-    if game.rep is not None:
-        groups = weight_groups(game.rep)
-        vectors = min_winning_vectors_weighted(game.rep)
-        players = tuple(tuple(g) for g in groups)
-    elif game.complete is not None:
-        from .games import minimal_winning_vectors
-
-        sizes = game.complete.class_sizes
-        players = []
-        base = 0
-        for nj in sizes:
-            players.append(tuple(range(base, base + nj)))
-            base += nj
-        players = tuple(players)
-        vectors = minimal_winning_vectors(game.complete)
-    else:
-        classes, _ = desirability_classes(game)
+    view = game.view
+    players, vectors = view.blocks, view.winning
+    if view.source == "players":
+        classes, _, vectors = desirability_vectors(game)
         players = tuple(tuple(p - 1 for p in cls) for cls in classes)
-        vectors = minimal_vectors(
-            vector_of_mask(w, classes) for w in game.min_winning
-        )
     sizes = tuple(len(g) for g in players)
     ordered = tuple(sorted(vectors, reverse=True))
     return VectorIlpInstance(sizes, ordered, class_players=players)
@@ -343,14 +322,7 @@ def _coalitions_from_vectors(
     ascending order, so the outcome is deterministic.  Requires the plain
     coverage condition sum_i (n_j - v_i_j) >= n_j for every class j.
     """
-    if class_players is None:
-        players = []
-        base = 0
-        for nj in class_sizes:
-            players.append(list(range(base, base + nj)))
-            base += nj
-    else:
-        players = [sorted(g) for g in class_players]
+    players = [sorted(g) for g in class_players or player_blocks(class_sizes)]
     n = sum(class_sizes)
     grand = 0
     for g in players:
@@ -420,17 +392,12 @@ def nakamura_complete(
     if g.has_vetoers():
         return INFINITE_RESULT
     if not want_witness and g.r == 1:
-        o = prefix_sums(g.class_sizes)
-        p = prefix_sums(g.shift_min[0])
-        value = max(ceil(o[i] / (o[i] - p[i])) for i in range(g.t))
-        return NakamuraResult(value, ())
+        return NakamuraResult(r1_value(g.class_sizes, g.shift_min[0]), ())
     if g.n > 64 and want_witness:
         raise CapacityError("witness expansion needs at most 64 players")
     res = nakamura_by_vectors(instance_from_complete(g))
-    if g.r == 1:
-        o = prefix_sums(g.class_sizes)
-        p = prefix_sums(g.shift_min[0])
-        closed = max(ceil(o[i] / (o[i] - p[i])) for i in range(g.t))
-        if closed != res.value:  # pragma: no cover - cross-check
-            raise InvariantError("closed form disagrees with covering program")
+    if g.r == 1 and r1_value(g.class_sizes, g.shift_min[0]) != res.value:
+        raise InvariantError(  # pragma: no cover - cross-check
+            "closed form disagrees with covering program"
+        )
     return res

@@ -30,19 +30,17 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterator, Optional, Union
 
-from .bounds import is_weighted_vectors
 from .games import (
     CapacityError,
-    CompleteGame,
     InvalidGameError,
     SimpleGame,
     WeightedRep,
     desirability_classes,
-    maximal_losing_vectors,
-    minimal_winning_vectors,
+    masks_with_vectors,
+    player_blocks,
     simple_game,
 )
-from .census import enumerate_complete
+from .census import enumerate_complete, is_weighted_complete
 from .exact import nakamura_complete, nakamura_exact
 
 CLASS_SIMPLE = "S"
@@ -61,33 +59,6 @@ class FamilySpec:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidGameError(message)
-
-
-def _expansion_masks(class_sizes, vectors, n):
-    """Minimal winning coalitions of the game 'vector componentwise above
-    one of ``vectors``', over consecutive class blocks."""
-    blocks = []
-    base = 0
-    for nj in class_sizes:
-        blocks.append(list(range(base, base + nj)))
-        base += nj
-    masks = []
-    for v in vectors:
-        choices = []
-        for j, cnt in enumerate(v):
-            opts = []
-            for combo in itertools.combinations(blocks[j], cnt):
-                m = 0
-                for p in combo:
-                    m |= 1 << p
-                opts.append(m)
-            choices.append(opts)
-        for parts in itertools.product(*choices):
-            m = 0
-            for p in parts:
-                m |= p
-            masks.append(m)
-    return masks
 
 
 def construct_family(spec: FamilySpec) -> Union[WeightedRep, SimpleGame]:
@@ -156,7 +127,7 @@ def _circle_game(n: int, t: int) -> SimpleGame:
         v[a] -= 1
         v[b] -= 1
         vectors.append(tuple(v))
-    masks = _expansion_masks(sizes, vectors, n)
+    masks = masks_with_vectors(player_blocks(sizes), vectors)
     return simple_game(n, masks, validate=False)
 
 
@@ -264,12 +235,6 @@ def all_simple_games(n: int) -> Iterator[SimpleGame]:
     yield from grow(0)
 
 
-def _complete_is_weighted(g: CompleteGame) -> bool:
-    return is_weighted_vectors(
-        g.class_sizes, minimal_winning_vectors(g), maximal_losing_vectors(g)
-    )
-
-
 def max_nakamura(
     n: int, t: int, klass: str, *, mode: str = "auto"
 ) -> MaxNakResult:
@@ -311,7 +276,7 @@ def max_nakamura(
         for g in enumerate_complete(n, parts=t):
             if g.has_vetoers():
                 continue
-            if klass == CLASS_WEIGHTED and not _complete_is_weighted(g):
+            if klass == CLASS_WEIGHTED and not is_weighted_complete(g):
                 continue
             value = nakamura_complete(g, want_witness=False).value
             if best is None or value > best:

@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -243,8 +245,8 @@ class SimpleGame:
     ``min_winning`` is kept in canonical order (lexicographic by player
     tuple).  ``rep`` / ``complete`` record provenance when the game was built
     from a weighted representation or a complete-game parameterization; they
-    only speed up winning tests and dual-antichain computations and never
-    change results.
+    are read only by ``class_view``, whose result ``view`` is cached on the
+    game, and they never change results.
     """
 
     n: int
@@ -271,27 +273,13 @@ class SimpleGame:
     def grand(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def view(self) -> "ClassView":
+        """The game's ``ClassView``, built on first use."""
+        return class_view(self)
+
     def is_winning(self, mask: int) -> bool:
-        if self.rep is not None:
-            qhat, what = self.rep.integral()
-            w = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    w += what[i]
-                m >>= 1
-                i += 1
-            return w >= qhat
-        if self.complete is not None:
-            counts = []
-            base = 0
-            for nj in self.complete.class_sizes:
-                block = ((1 << nj) - 1) << base
-                counts.append((mask & block).bit_count())
-                base += nj
-            return any(shift_leq(row, counts) for row in self.complete.shift_min)
-        return any(w & mask == w for w in self.min_winning)
+        return self.view.wins(self.view.vector(mask))
 
     def vetoer_mask(self) -> int:
         mask = self.grand
@@ -404,15 +392,20 @@ def classify_players(game: SimpleGame) -> PlayerClassification:
 # desirability
 
 
-def _group_geq(game: SimpleGame, i: int, j: int) -> bool:
-    # i is at least as desirable as j: swapping j for i in any minimal
-    # winning coalition containing j but not i must stay winning.  This
-    # exchange test over the antichain is equivalent to the definition over
-    # all coalitions because winning sets are up-closed.
-    bi, bj = 1 << i, 1 << j
-    for w in game.min_winning:
-        if w & bj and not w & bi:
-            if not game.is_winning((w & ~bj) | bi):
+def _block_geq(view: "ClassView", a: int, b: int) -> bool:
+    # a member of block a is at least as desirable as one of block b: trading
+    # a b-member for an a-member in any minimal winning vector that has both
+    # a b-member to give and room in a must stay winning.  This exchange test
+    # over the minimal vectors is equivalent to the definition over all
+    # coalitions because winning sets are up-closed and block members are
+    # interchangeable.
+    room, wins = view.sizes[a], view.wins
+    for v in view.winning:
+        if v[b] and v[a] < room:
+            c = list(v)
+            c[a] += 1
+            c[b] -= 1
+            if not wins(tuple(c)):
                 return False
     return True
 
@@ -424,27 +417,13 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
     1-based players in input order and ``is_complete`` says whether the
     relation is total.  For a complete game the class order (strictly
     decreasing desirability) is unique; otherwise classes are ordered by how
-    many other classes they dominate, ties by smallest member.
+    many other classes they dominate, ties by smallest member.  The classes
+    are unions of the blocks of ``game.view``.
     """
-    if game.complete is not None:
-        # expansion blocks are the classes, strongest first, by construction
-        classes = []
-        base = 0
-        for nj in game.complete.class_sizes:
-            classes.append(tuple(range(base + 1, base + nj + 1)))
-            base += nj
-        return tuple(classes), True
-    if game.rep is not None:
-        groups = weight_groups(game.rep)
-    else:
-        groups = [[i] for i in range(game.n)]
-    reps = [g[0] for g in groups]
+    view = game.view
+    groups = view.blocks
     k = len(groups)
-    geq = [[True] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                geq[a][b] = _group_geq(game, reps[a], reps[b])
+    geq = [[a == b or _block_geq(view, a, b) for b in range(k)] for a in range(k)]
 
     # merge mutually-comparable groups
     parent = list(range(k))
@@ -489,45 +468,42 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
 # dual antichain and flags
 
 
-def _maximal_subsets_within_budget(values: Sequence[int], budget: int) -> list[int]:
-    """Masks of inclusion-maximal subsets whose value sum is <= budget.
+def _maximal_counts_within_budget(
+    values: Sequence[int], sizes: Sequence[int], budget: int
+) -> list[tuple[int, ...]]:
+    """Componentwise-maximal count vectors ``c <= sizes`` whose value
+    ``sum(c[j] * values[j])`` is at most ``budget``.
 
-    Zero-value items belong to every maximal subset.  Deterministic DFS over
-    items in decreasing value order.
+    ``values`` must be non-increasing; zero-value groups are full in every
+    maximal vector.  Deterministic DFS, larger counts first.
     """
-    forced = 0
-    items = []
-    for i, v in enumerate(values):
-        if v == 0:
-            forced |= 1 << i
-        else:
-            items.append(i)
-    items.sort(key=lambda i: (-values[i], i))
-    suffix = [0] * (len(items) + 1)
-    for k in range(len(items) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + values[items[k]]
-    out: list[int] = []
+    t = len(values)
+    suffix = [0] * (t + 1)
+    for j in range(t - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + values[j] * sizes[j]
+    out: list[tuple[int, ...]] = []
+    counts: list[int] = []
 
-    def descend(k: int, mask: int, total: int, min_excluded: int) -> None:
-        if total + suffix[k] <= budget:
-            # everything left fits, so take-all is the one maximal completion
-            # here; it is maximal overall iff no excluded item would fit too
-            if total + suffix[k] + min_excluded > budget:
-                full = mask
-                for j in range(k, len(items)):
-                    full |= 1 << items[j]
-                out.append(full)
+    def descend(j: int, total: int, min_short: int) -> None:
+        # min_short: least value of a group left below its size so far
+        if total + suffix[j] <= budget:
+            # everything left fits, so filling up is the one maximal
+            # completion here; it is maximal overall iff no short group
+            # would fit one more member
+            if total + suffix[j] + min_short > budget:
+                out.append(tuple(counts) + tuple(sizes[j:]))
             return
-        p = items[k]
-        v = values[p]
-        if total + v <= budget:
-            descend(k + 1, mask | (1 << p), total + v, min_excluded)
-        descend(k + 1, mask, total, min(min_excluded, v))
+        v = values[j]
+        for c in range(min(sizes[j], (budget - total) // v), -1, -1):
+            counts.append(c)
+            short = min_short if c == sizes[j] else min(min_short, v)
+            descend(j + 1, total + c * v, short)
+            counts.pop()
 
     if budget < 0:
         return []
-    descend(0, 0, 0, budget + 1)
-    return [m | forced for m in out]
+    descend(0, 0, budget + 1)
+    return out
 
 
 def dense_winning_table(game: SimpleGame) -> np.ndarray:
@@ -550,28 +526,23 @@ def dense_winning_table(game: SimpleGame) -> np.ndarray:
 def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
     """The antichain of inclusion-maximal losing coalitions.
 
-    Uses the weighted representation (maximal below-quota subsets) or the
-    complete-game lattice when available; otherwise a dense monotone-closure
-    table, which caps the generic path at ``DENSE_TABLE_CAP`` players.
+    The coalitions realizing the maximal losing vectors of ``game.view``;
+    a game known only by its antichain takes them from a dense table, which
+    caps that case at ``DENSE_TABLE_CAP`` players.
     """
-    if game.rep is not None:
-        qhat, what = game.rep.integral()
-        masks = _maximal_subsets_within_budget(what, qhat - 1)
-    elif game.complete is not None:
-        g = game.complete
-        masks = []
-        for v in maximal_losing_vectors(g):
-            masks.extend(_masks_with_vector(g.class_sizes, v))
-    else:
-        win = dense_winning_table(game)
-        idx = np.arange(1 << game.n)
-        ok = ~win
-        for i in range(game.n):
-            bit = 1 << i
-            absent = (idx & bit) == 0
-            ok[absent] &= win[idx[absent] | bit]
-        masks = [int(m) for m in np.nonzero(ok)[0]]
-    return sort_coalitions(masks)
+    view = game.view
+    return sort_coalitions(masks_with_vectors(view.blocks, view.losing))
+
+
+def _dense_maximal_losing(game: SimpleGame) -> list[int]:
+    win = dense_winning_table(game)
+    idx = np.arange(1 << game.n)
+    ok = ~win
+    for i in range(game.n):
+        bit = 1 << i
+        absent = (idx & bit) == 0
+        ok[absent] &= win[idx[absent] | bit]
+    return [int(m) for m in np.nonzero(ok)[0]]
 
 
 class StructureFlags(NamedTuple):
@@ -581,41 +552,20 @@ class StructureFlags(NamedTuple):
 
 
 def structure_flags(game: SimpleGame) -> StructureFlags:
-    """Proper/strong/constant-sum flags, decided on the two antichains.
+    """Proper/strong/constant-sum flags, decided on the view's vectors.
 
-    Properness needs only pairwise intersection of minimal winning
-    coalitions: the complement of a winning S is losing iff no minimal
-    winning coalition avoids S, and it suffices to check minimal S because
-    complements shrink as S grows.  Strongness is checked on maximal losing
-    coalitions for the dual reason: complements grow as T shrinks.
-    Complete-game expansions run both checks on count vectors instead.
+    A game is proper iff the complement of every minimal winning coalition
+    loses (complements shrink as coalitions grow), and strong iff the
+    complement of every maximal losing coalition wins (complements grow as
+    coalitions shrink).  Both checks run once per count vector.
     """
-    if game.complete is not None:
-        g = game.complete
-        sizes = g.class_sizes
-        proper = all(
-            not vector_is_winning(g, tuple(n - v for n, v in zip(sizes, vec)))
-            for vec in minimal_winning_vectors(g)
-        )
-        strong = all(
-            vector_is_winning(g, tuple(n - u for n, u in zip(sizes, vec)))
-            for vec in maximal_losing_vectors(g)
-        )
-        return StructureFlags(proper, strong, proper and strong)
-    proper = True
-    ms = game.min_winning
-    for i, a in enumerate(ms):
-        for b in ms[i:]:
-            if a & b == 0:
-                proper = False
-                break
-        if not proper:
-            break
-    strong = True
-    for t in maximal_losing(game):
-        if not game.is_winning(game.grand & ~t):
-            strong = False
-            break
+    view = game.view
+
+    def complement_wins(v) -> bool:
+        return view.wins(tuple(n - x for n, x in zip(view.sizes, v)))
+
+    proper = not any(complement_wins(v) for v in view.winning)
+    strong = all(complement_wins(u) for u in view.losing)
     return StructureFlags(proper, strong, proper and strong)
 
 
@@ -679,6 +629,11 @@ class CompleteGame:
     @property
     def r(self) -> int:
         return len(self.shift_min)
+
+    @cached_property
+    def view(self) -> "ClassView":
+        """The game's ``ClassView``, built on first use."""
+        return class_view(self)
 
     def has_vetoers(self) -> bool:
         # the strongest class is all-veto exactly when no row drops a player
@@ -793,32 +748,23 @@ def maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
     return out
 
 
-def _class_player_masks(class_sizes) -> list[list[int]]:
-    masks = []
-    base = 0
-    for nj in class_sizes:
-        masks.append([1 << (base + k) for k in range(nj)])
-        base += nj
-    return masks
+def player_blocks(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Consecutive blocks of 0-based players with the given sizes."""
+    ends = itertools.accumulate(sizes)
+    return tuple(tuple(range(e - nj, e)) for nj, e in zip(sizes, ends))
 
 
-def _masks_with_vector(class_sizes, v) -> list[int]:
-    per_class = _class_player_masks(class_sizes)
-    choices = []
-    for j, cnt in enumerate(v):
-        opts = []
-        for combo in itertools.combinations(per_class[j], cnt):
-            m = 0
-            for b in combo:
-                m |= b
-            opts.append(m)
-        choices.append(opts)
+def masks_with_vectors(blocks, vectors) -> list[int]:
+    """Every coalition whose count vector over ``blocks`` (0-based player
+    tuples) is one of ``vectors``, vector by vector."""
+    bits = [[1 << p for p in block] for block in blocks]
     out = []
-    for parts in itertools.product(*choices):
-        m = 0
-        for p in parts:
-            m |= p
-        out.append(m)
+    for v in vectors:
+        choices = [
+            [sum(combo) for combo in itertools.combinations(bs, c)]
+            for bs, c in zip(bits, v)
+        ]
+        out.extend(sum(parts) for parts in itertools.product(*choices))
     return out
 
 
@@ -831,9 +777,7 @@ def expand_complete(g: CompleteGame) -> SimpleGame:
     """
     if g.n > MAX_PLAYERS:
         raise CapacityError(f"{g.n} players exceed the capacity of {MAX_PLAYERS}")
-    masks: list[int] = []
-    for v in minimal_winning_vectors(g):
-        masks.extend(_masks_with_vector(g.class_sizes, v))
+    masks = masks_with_vectors(g.view.blocks, g.view.winning)
     return SimpleGame(g.n, tuple(masks), complete=g)
 
 
@@ -865,6 +809,15 @@ def shift_minimal_vectors(vectors) -> list[tuple[int, ...]]:
     return out
 
 
+def desirability_vectors(game: SimpleGame):
+    """``(classes, is_complete, vectors)``: the desirability classes as in
+    ``desirability_classes`` and the minimal winning count vectors over
+    them."""
+    classes, complete = desirability_classes(game)
+    vectors = minimal_vectors(vector_of_mask(w, classes) for w in game.min_winning)
+    return classes, complete, vectors
+
+
 def canonical_vector_form(game: SimpleGame):
     """Isomorphism invariant: class sizes in desirability order plus the
     sorted minimal winning count vectors, and the completeness flag.
@@ -873,9 +826,112 @@ def canonical_vector_form(game: SimpleGame):
     complete games the converse holds as well since the class order is
     then unique.
     """
-    classes, complete = desirability_classes(game)
-    sizes = tuple(len(c) for c in classes)
-    vectors = tuple(
-        sorted(minimal_vectors(vector_of_mask(w, classes) for w in game.min_winning))
+    classes, complete, vectors = desirability_vectors(game)
+    return tuple(len(c) for c in classes), tuple(sorted(vectors)), complete
+
+
+# ---------------------------------------------------------------------------
+# class view
+
+
+class ClassView:
+    """A game condensed over blocks of interchangeable players.
+
+    A coalition matters only through its count vector ``c``, where ``c[j]``
+    members come from block ``j``:
+
+    * ``sizes`` and ``blocks`` -- the block sizes and 0-based player tuples;
+    * ``winning`` -- the componentwise-minimal winning count vectors;
+    * ``wins(c)`` -- whether a count vector wins;
+    * ``losing`` -- the componentwise-maximal losing count vectors.
+
+    ``winning`` and ``losing`` are computed on first use.  ``source`` names
+    where the blocks come from: ``"weights"`` (equal-weight groups),
+    ``"classes"`` (the classes of a complete game) or ``"players"`` (one
+    block per player, for a game given only by its antichain).
+    """
+
+    def __init__(self, source: str, blocks, wins, winning, losing):
+        self.source = source
+        self.blocks = tuple(tuple(b) for b in blocks)
+        self.sizes = tuple(len(b) for b in self.blocks)
+        self.wins = wins
+        self._winning = winning
+        self._losing = losing
+        self._block_masks = tuple(sum(1 << p for p in b) for b in self.blocks)
+
+    @cached_property
+    def winning(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._winning())
+
+    @cached_property
+    def losing(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._losing())
+
+    def vector(self, mask: int) -> tuple[int, ...]:
+        """Count vector of a coalition mask."""
+        return tuple((mask & b).bit_count() for b in self._block_masks)
+
+    def coalition_count(self, vectors) -> int:
+        """How many coalitions realize the given count vectors."""
+        return sum(prod(map(comb, self.sizes, v)) for v in vectors)
+
+    def per_player(self, values) -> tuple:
+        """One value per block, given to each of the block's players."""
+        out = [None] * sum(self.sizes)
+        for value, block in zip(values, self.blocks):
+            for p in block:
+                out[p] = value
+        return tuple(out)
+
+
+def class_view(game) -> ClassView:
+    """The class view of a ``SimpleGame`` or a ``CompleteGame``.
+
+    This is the one place that reads a game's provenance.  The blocks are
+    the ones each kind of game has without any search: equal-weight groups
+    of a weighted representation in ``min_winning_vectors_weighted`` order,
+    the classes of a complete game with vectors in lattice order, or one
+    block per player with incidence rows in ``min_winning`` order.
+    """
+    if isinstance(game, CompleteGame):
+        return ClassView(
+            "classes",
+            player_blocks(game.class_sizes),
+            lambda c: any(shift_leq(row, c) for row in game.shift_min),
+            lambda: minimal_winning_vectors(game),
+            lambda: maximal_losing_vectors(game),
+        )
+    if game.complete is not None:
+        return game.complete.view
+    if game.rep is not None:
+        rep = game.rep
+        groups = weight_groups(rep)
+        qhat, what = rep.integral()
+        values = [what[g[0]] for g in groups]
+        sizes = [len(g) for g in groups]
+        return ClassView(
+            "weights",
+            groups,
+            lambda c: sum(x * w for x, w in zip(c, values)) >= qhat,
+            lambda: min_winning_vectors_weighted(rep),
+            lambda: _maximal_counts_within_budget(values, sizes, qhat - 1),
+        )
+    n = game.n
+    bits = [1 << p for p in range(n)]
+    minimal = frozenset(game.min_winning)
+
+    def incidence(masks):
+        return [tuple((m >> p) & 1 for p in range(n)) for m in masks]
+
+    def wins(c) -> bool:
+        mask = sum(map(mul, c, bits))
+        return mask in minimal or any(w & mask == w for w in game.min_winning)
+
+    return ClassView(
+        "players",
+        [(p,) for p in range(n)],
+        wins,
+        lambda: incidence(game.min_winning),
+        lambda: incidence(_dense_maximal_losing(game)),
     )
-    return sizes, vectors, complete

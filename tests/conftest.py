@@ -151,6 +151,15 @@ def random_rep(rng: random.Random, n_max: int = 10, w_max: int = 9) -> WeightedR
         return WeightedRep(rng.randint(1, total), ws)
 
 
+def random_simple_game(rng: random.Random, n_max: int = 8) -> SimpleGame:
+    """A game given only by its antichain: the inclusion-minimal members of
+    a few random coalitions, with no weighted or complete provenance."""
+    n = rng.randint(2, n_max)
+    masks = rng.sample(range(1, 1 << n), rng.randint(1, min(6, (1 << n) - 1)))
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return SimpleGame(n, tuple(minimal))
+
+
 def random_vetoer_free(rng: random.Random, n_max: int = 10, w_max: int = 9):
     while True:
         rep = random_rep(rng, n_max, w_max)

@@ -29,12 +29,9 @@ in exactly ``PRINTED_ERRATA_CELLS``.  Two examples:
   ``1 2 2 1``, row ``1 1 1 0`` is one of them, and is ``[13; 10,2,2,1,1,0]``.
 """
 
-import os
 import random
 import time
 from math import ceil
-
-import pytest
 
 from conftest import oracle_r1_certificate
 from nakamura.bounds import (
@@ -214,9 +211,7 @@ def test_05a_complete_census_rows_1_to_12():
     report(f"05a complete-census rows 1-12: PASS ({elapsed:.2f}s)")
 
 
-def test_05a_complete_census_rows_13_to_16_optin():
-    if not os.environ.get("NAKAMURA_FULL_CENSUS"):
-        pytest.skip("set NAKAMURA_FULL_CENSUS=1 for census rows 13-16")
+def test_05a_complete_census_rows_13_to_16():
     start = time.monotonic()
     for n in range(13, 17):
         row = census(n, COMPLETE_R1)

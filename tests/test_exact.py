@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nakamura
 from conftest import oracle_nakamura, random_vetoer_free
 from nakamura.exact import (
     nakamura_by_vectors,
@@ -370,3 +373,18 @@ def test_verify_witness_eleven_family():
         family.append(mask_from_players(players, n))
     assert len(family) == 11
     assert verify_witness(game, family)
+
+
+def test_decision_modules_divide_in_integers_only():
+    # integer ceilings are written -(-a // b): a true division would pass
+    # the value through floating point
+    root = Path(nakamura.__file__).parent
+    for name in ("exact.py", "census.py", "cover.py"):
+        tree = ast.parse((root / name).read_text(), name)
+        divs = [node for node in ast.walk(tree) if isinstance(node, ast.Div)]
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(getattr(node, "op", None), ast.Div)
+        ]
+        assert not divs, f"{name}: true division on lines {lines}"

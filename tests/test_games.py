@@ -9,7 +9,9 @@ from conftest import (
     oracle_is_winning,
     oracle_maximal_losing,
     oracle_minimal_winning,
+    random_complete_games,
     random_rep,
+    random_simple_game,
 )
 from nakamura.games import (
     CapacityError,
@@ -39,6 +41,16 @@ from nakamura.games import (
 
 def coalitions(game):
     return [players_from_mask(m) for m in game.min_winning]
+
+
+def three_kinds(rng, count, n_max):
+    """``count`` weighted games, then complete expansions and games given
+    only by their antichain, all on at most ``n_max`` players."""
+    games = [game_from_weighted(random_rep(rng, n_max=n_max)) for _ in range(count)]
+    for n in range(2, n_max + 1):
+        games.extend(expand_complete(g) for g in random_complete_games(rng, n, 3))
+    games.extend(random_simple_game(rng, n_max) for _ in range(count))
+    return games
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +172,7 @@ def test_maximal_losing_complete_route():
 
 def test_maximal_losing_routes_agree():
     rng = random.Random(11)
-    for _ in range(25):
-        rep = random_rep(rng, n_max=9)
-        game = game_from_weighted(rep)
+    for game in three_kinds(rng, 25, 9):
         generic = SimpleGame(game.n, game.min_winning)  # drop provenance
         assert maximal_losing(game) == maximal_losing(generic)
         assert sorted(maximal_losing(game)) == oracle_maximal_losing(game)
@@ -233,20 +243,25 @@ def test_desirability_incomplete():
 
 def test_desirability_matches_definition():
     rng = random.Random(17)
-    for _ in range(20):
-        rep = random_rep(rng, n_max=7)
-        game = game_from_weighted(rep)
-        generic = SimpleGame(game.n, game.min_winning)
-        classes, complete = desirability_classes(generic)
-        # same partition as the full-definition relation
-        label = {}
-        for idx, cls in enumerate(classes):
-            for p in cls:
-                label[p - 1] = idx
-        for i in range(game.n):
-            for j in range(game.n):
-                same = oracle_geq(game, i, j) and oracle_geq(game, j, i)
-                assert same == (label[i] == label[j])
+    for game in three_kinds(rng, 20, 7):
+        geq = [[oracle_geq(game, i, j) for j in range(game.n)] for i in range(game.n)]
+        total = all(geq[i][j] or geq[j][i] for i in range(game.n) for j in range(i))
+        # with the provenance kept and stripped
+        for g in (game, SimpleGame(game.n, game.min_winning)):
+            classes, complete = desirability_classes(g)
+            # same partition as the full-definition relation
+            label = {}
+            for idx, cls in enumerate(classes):
+                for p in cls:
+                    label[p - 1] = idx
+            for i in range(game.n):
+                for j in range(game.n):
+                    same = geq[i][j] and geq[j][i]
+                    assert same == (label[i] == label[j])
+            assert complete == total
+            if complete:  # strongest class first
+                for a, b in zip(classes, classes[1:]):
+                    assert geq[a[0] - 1][b[0] - 1]
 
 
 def test_weighted_games_are_complete():
@@ -282,9 +297,7 @@ def test_structure_flags_examples():
 
 def test_structure_flags_match_bruteforce():
     rng = random.Random(23)
-    for _ in range(25):
-        rep = random_rep(rng, n_max=8)
-        game = game_from_weighted(rep)
+    for game in three_kinds(rng, 25, 8):
         grand = game.grand
         proper = all(
             not oracle_is_winning(game, grand & ~mask)
