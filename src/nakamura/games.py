@@ -405,7 +405,7 @@ def _block_geq(view: "ClassView", a: int, b: int) -> bool:
             c = list(v)
             c[a] += 1
             c[b] -= 1
-            if not wins(tuple(c)):
+            if not wins(c):
                 return False
     return True
 
@@ -842,7 +842,7 @@ class ClassView:
 
     * ``sizes`` and ``blocks`` -- the block sizes and 0-based player tuples;
     * ``winning`` -- the componentwise-minimal winning count vectors;
-    * ``wins(c)`` -- whether a count vector wins;
+    * ``wins(c)`` -- whether a count vector (any int sequence) wins;
     * ``losing`` -- the componentwise-maximal losing count vectors.
 
     ``winning`` and ``losing`` are computed on first use.  ``source`` names
@@ -858,7 +858,6 @@ class ClassView:
         self.wins = wins
         self._winning = winning
         self._losing = losing
-        self._block_masks = tuple(sum(1 << p for p in b) for b in self.blocks)
 
     @cached_property
     def winning(self) -> tuple[tuple[int, ...], ...]:
@@ -867,6 +866,10 @@ class ClassView:
     @cached_property
     def losing(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._losing())
+
+    @cached_property
+    def _block_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << p for p in b) for b in self.blocks)
 
     def vector(self, mask: int) -> tuple[int, ...]:
         """Count vector of a coalition mask."""
@@ -922,7 +925,7 @@ def class_view(game) -> ClassView:
     minimal = frozenset(game.min_winning)
 
     def incidence(masks):
-        return [tuple((m >> p) & 1 for p in range(n)) for m in masks]
+        return [tuple(1 if m & bit else 0 for bit in bits) for m in masks]
 
     def wins(c) -> bool:
         mask = sum(map(mul, c, bits))
