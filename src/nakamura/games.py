@@ -534,11 +534,11 @@ def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
     return sort_coalitions(masks_with_vectors(view.blocks, view.losing))
 
 
-def _dense_maximal_losing(game: SimpleGame) -> list[int]:
-    win = dense_winning_table(game)
-    idx = np.arange(1 << game.n)
+def _dense_maximal_losing(n: int, min_winning) -> list[int]:
+    win = dense_winning_table(SimpleGame(n, min_winning))
+    idx = np.arange(1 << n)
     ok = ~win
-    for i in range(game.n):
+    for i in range(n):
         bit = 1 << i
         absent = (idx & bit) == 0
         ok[absent] &= win[idx[absent] | bit]
@@ -920,21 +920,23 @@ def class_view(game) -> ClassView:
             lambda: min_winning_vectors_weighted(rep),
             lambda: _maximal_counts_within_budget(values, sizes, qhat - 1),
         )
-    n = game.n
+    # the closures below hold the antichain, not the game, so that a game
+    # and its cached view form no reference cycle
+    n, min_winning = game.n, game.min_winning
     bits = [1 << p for p in range(n)]
-    minimal = frozenset(game.min_winning)
+    minimal = frozenset(min_winning)
 
     def incidence(masks):
         return [tuple(1 if m & bit else 0 for bit in bits) for m in masks]
 
     def wins(c) -> bool:
         mask = sum(map(mul, c, bits))
-        return mask in minimal or any(w & mask == w for w in game.min_winning)
+        return mask in minimal or any(w & mask == w for w in min_winning)
 
     return ClassView(
         "players",
         [(p,) for p in range(n)],
         wins,
-        lambda: incidence(game.min_winning),
-        lambda: incidence(_dense_maximal_losing(game)),
+        lambda: incidence(min_winning),
+        lambda: incidence(_dense_maximal_losing(n, min_winning)),
     )
