@@ -215,10 +215,10 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
 def lp_lower_bound(game: SimpleGame) -> Optional[int]:
     """The quota-LP lower bound when it is cheap to get, else None.
 
-    Cheap means the game carries a weighted representation (class-reduced
-    LP) or has a small antichain.
+    Cheap means the game's view has equal-weight groups (class-reduced LP)
+    or the game has a small antichain.
     """
-    if game.rep is None and len(game.min_winning) > 300:
+    if game.view.source != "weights" and len(game.min_winning) > 300:
         return None
     return max_quota_lp(game).nak_lower_bound
 

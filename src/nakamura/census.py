@@ -10,6 +10,7 @@ the critical-threshold LP over count vectors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,26 +48,10 @@ def _compositions_len(n: int, t: int) -> Iterator[tuple[int, ...]]:
 
 
 def _rows_r1(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    t = len(sizes)
-    if t == 1:
-        for m in range(1, sizes[0] + 1):
-            yield (m,)
-        return
-    ranges = [range(1, sizes[0] + 1)]
-    for j in range(1, t - 1):
-        ranges.append(range(1, sizes[j]))
-    ranges.append(range(0, sizes[t - 1]))
-
-    def rec(j: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == t:
-            yield tuple(acc)
-            return
-        for m in ranges[j]:
-            acc.append(m)
-            yield from rec(j + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    if len(sizes) == 1:
+        return ((m,) for m in range(1, sizes[0] + 1))
+    middle = (range(1, nj) for nj in sizes[1:-1])
+    return itertools.product(range(1, sizes[0] + 1), *middle, range(sizes[-1]))
 
 
 def enumerate_r1(
@@ -196,20 +181,12 @@ def enumerate_complete(
     """
     for sizes in compositions(n, parts):
         t = len(sizes)
-        lattice = []
-
-        def fill(j: int, acc: list[int]) -> None:
-            if j == t:
-                lattice.append(tuple(acc))
-                return
-            for c in range(sizes[j] + 1):
-                acc.append(c)
-                fill(j + 1, acc)
-                acc.pop()
-
-        fill(0, [])
-        lattice.sort(reverse=True)
-        lattice = [v for v in lattice if any(v)]
+        # nonzero count vectors in decreasing lexicographic order
+        lattice = [
+            v
+            for v in itertools.product(*(range(nj, -1, -1) for nj in sizes))
+            if any(v)
+        ]
 
         chosen: list[tuple[int, ...]] = []
 

@@ -62,20 +62,20 @@ def _load(path: str):
 
 
 def _as_game(obj):
-    """(game, rep, complete, input_kind) for any parsed record."""
+    """(game, input_kind) for any parsed record."""
     if isinstance(obj, WeightedRep):
-        return game_from_weighted(obj), obj, None, "weighted"
+        return game_from_weighted(obj), "weighted"
     if isinstance(obj, SimpleGame):
-        return obj, None, None, "simple"
+        return obj, "simple"
     if isinstance(obj, CompleteGame):
-        return expand_complete(obj), None, obj, "complete"
+        return expand_complete(obj), "complete"
     if isinstance(obj, cutting.CspInstance):
-        rep = cutting.game_from_instance(obj)
-        return game_from_weighted(rep), rep, None, "csp"
+        return game_from_weighted(cutting.game_from_instance(obj)), "csp"
     raise InvalidGameError(f"unsupported record {type(obj).__name__}")
 
 
-def _input_echo(kind, rep, complete, game) -> dict:
+def _input_echo(kind, game) -> dict:
+    rep, complete = game.rep, game.complete
     if rep is not None:
         return {
             "kind": kind,
@@ -92,14 +92,15 @@ def _input_echo(kind, rep, complete, game) -> dict:
     return {"kind": kind, "players": game.n}
 
 
-def _nakamura_result(game, rep, complete):
-    if complete is not None:
-        return nakamura_complete(complete)
+def _nakamura_result(game):
+    if game.complete is not None:
+        return nakamura_complete(game.complete)
     return nakamura_exact(game)
 
 
-def _bounds_list(game, rep, lpo) -> list[dict]:
+def _bounds_list(game, lpo) -> list[dict]:
     out = []
+    rep = game.rep
     if rep is not None:
         wb = bounds_mod.weighted_bounds(rep)
         out.append(
@@ -152,17 +153,17 @@ def _check_report(value, witness, game, bounds_list) -> None:
 
 
 def build_analysis(obj) -> dict:
-    game, rep, complete, kind = _as_game(obj)
+    game, kind = _as_game(obj)
     cls = classify_players(game)
     flags = structure_flags(game)
     classes, is_complete = desirability_classes(game)
-    result = _nakamura_result(game, rep, complete)
+    result = _nakamura_result(game)
     lpo = bounds_mod.max_quota_lp(game)
-    blist = _bounds_list(game, rep, lpo)
+    blist = _bounds_list(game, lpo)
     _check_report(result.value, result.witness, game, blist)
     report = {
         "schema": SCHEMA,
-        "input": _input_echo(kind, rep, complete, game),
+        "input": _input_echo(kind, game),
         "game": {
             "players": game.n,
             "min_winning_count": len(game.min_winning),
@@ -252,8 +253,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    game, rep, complete, _ = _as_game(_load(args.file))
-    rows = _bounds_list(game, rep, bounds_mod.max_quota_lp(game))
+    game, _ = _as_game(_load(args.file))
+    rows = _bounds_list(game, bounds_mod.max_quota_lp(game))
     print(f"{'method':<16}{'lower':>8}{'upper':>8}")
     for b in rows:
         lo = b.get("lower", "-")
@@ -264,8 +265,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_nakamura(args) -> int:
-    game, rep, complete, _ = _as_game(_load(args.file))
-    result = _nakamura_result(game, rep, complete)
+    obj = _load(args.file)
+    if isinstance(obj, CompleteGame):
+        # the closed form and the prefix program never read the antichain
+        result = nakamura_complete(obj)
+    else:
+        result = nakamura_exact(_as_game(obj)[0])
     print(_fmt(result.value))
     if args.witness and result.witness:
         for mask in result.witness:
@@ -332,29 +337,19 @@ def _family_params(args) -> dict:
 def cmd_family(args) -> int:
     spec = families.FamilySpec(args.tag, _family_params(args))
     built = families.construct_family(spec)
-    if isinstance(built, families.PaddedGame):
-        rep = built.rep
-        text = gamefiles.write_game(rep)
-        value = nakamura_exact(game_from_weighted(rep)).value
-        print(text, end="")
-        print(f"# nakamura: {_fmt(value)}")
+    padded = isinstance(built, families.PaddedGame)
+    record = built.rep if padded else built
+    text = gamefiles.write_game(record)
+    value = nakamura_exact(_as_game(record)[0]).value
+    print(text, end="")
+    print(f"# nakamura: {_fmt(value)}")
+    if padded:
         print(f"# quota ceiling: {built.ceiling}")
         print(f"# padding threshold met: {built.threshold_met}")
         print(f"# ceiling attained: {value == built.ceiling}")
-        out_text = text
-    else:
-        text = gamefiles.write_game(built)
-        if isinstance(built, WeightedRep):
-            game = game_from_weighted(built)
-        else:
-            game = built
-        value = nakamura_exact(game).value
-        print(text, end="")
-        print(f"# nakamura: {_fmt(value)}")
-        out_text = text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
+            fh.write(text)
     return 0
 
 
@@ -422,8 +417,7 @@ def cmd_conjectures(args) -> int:
         rep = cutting.game_from_instance(obj)
         probe = cutting.conjecture_roundup_probe(game_from_weighted(rep), obj)
     else:
-        game, rep, complete, _ = _as_game(obj)
-        probe = cutting.conjecture_roundup_probe(game)
+        probe = cutting.conjecture_roundup_probe(_as_game(obj)[0])
     def show(v):
         if isinstance(v, bool):
             return v

@@ -30,7 +30,8 @@ from .games import (
     InvariantError,
     SimpleGame,
     WeightedRep,
-    _maximal_counts_within_budget,
+    _complement,
+    _minimal_counts,
     masks_with_vectors,
     maximal_losing,
     structure_flags,
@@ -92,11 +93,14 @@ def patterns_from_instance(instance: CspInstance) -> PatternSet:
     for i, x in enumerate(lengths):
         if x > stock:
             raise InvalidGameError(f"item {i + 1} is longer than the stock")
-    # one group per item, longest first
+    # one group per item, longest first; a pattern is maximal feasible iff
+    # the items it leaves out are a minimal set reaching length total - stock
     items = sorted(range(instance.m), key=lambda i: -lengths[i])
-    vectors = _maximal_counts_within_budget(
-        [lengths[i] for i in items], [1] * instance.m, stock
+    ones = [1] * instance.m
+    left_out = _minimal_counts(
+        [lengths[i] for i in items], ones, sum(lengths) - stock
     )
+    vectors = [_complement(ones, d) for d in left_out]
     masks = masks_with_vectors([(i,) for i in items], vectors)
     return PatternSet(instance.m, tuple(sorted(masks)))
 

@@ -86,29 +86,21 @@ def nakamura_symmetric(n: int, qhat: int) -> NakamuraResult:
     return NakamuraResult(k, sort_coalitions(witness))
 
 
-def nakamura_exact(game: SimpleGame, *, method: str = "auto") -> NakamuraResult:
+def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     """Exact Nakamura number of a simple game, with an optimal witness.
 
-    ``method``:
-
-    * ``"cover"`` -- branch and bound on the complement cover (the default
-      path): greedy incumbent, ceiling lower bound, and the quota-LP lower
-      bound when it is cheap; search stops as soon as the incumbent matches
-      the root bound.
-    * ``"vectors"`` -- condense to count vectors over player classes first;
-      preferable when the antichain is huge but the class structure small.
-    * ``"auto"`` -- cover unless the antichain exceeds an internal cap.
+    Antichains of at most ``_COVER_SET_CAP`` coalitions are solved by
+    branch and bound on the complement cover: greedy incumbent, ceiling
+    lower bound, and the quota-LP lower bound when it is cheap; the search
+    stops as soon as the incumbent matches the root bound.  Larger
+    antichains are condensed to count vectors over player classes first
+    (``nakamura_by_vectors``), which stays small when the class structure
+    is.
     """
     if game.vetoer_mask():
         return INFINITE_RESULT
-    if method == "auto":
-        method = (
-            "vectors" if len(game.min_winning) > _COVER_SET_CAP else "cover"
-        )
-    if method == "vectors":
+    if len(game.min_winning) > _COVER_SET_CAP:
         return nakamura_by_vectors(vector_instance(game))
-    if method != "cover":
-        raise ValueError(f"unknown method {method!r}")
 
     complements = [game.grand & ~w for w in game.min_winning]
     universe = game.grand
@@ -384,17 +376,17 @@ def nakamura_complete(
 ) -> NakamuraResult:
     """Nakamura number straight from the complete-game parameterization.
 
-    Vetoer games (every row keeps the strongest class full) are infinite.
-    With a single shift-minimal row the optimum is the closed form
-    ``max_i ceil(O_i / (O_i - P_i))`` over prefix sums; otherwise the
-    prefix covering program is solved exactly.
+    A witness needs at most 64 players.  Vetoer games (every row keeps the
+    strongest class full) are infinite.  With a single shift-minimal row the
+    optimum is the closed form ``max_i ceil(O_i / (O_i - P_i))`` over prefix
+    sums; otherwise the prefix covering program is solved exactly.
     """
+    if g.n > 64 and want_witness:
+        raise CapacityError("witness expansion needs at most 64 players")
     if g.has_vetoers():
         return INFINITE_RESULT
     if not want_witness and g.r == 1:
         return NakamuraResult(r1_value(g.class_sizes, g.shift_min[0]), ())
-    if g.n > 64 and want_witness:
-        raise CapacityError("witness expansion needs at most 64 players")
     res = nakamura_by_vectors(instance_from_complete(g))
     if g.r == 1 and r1_value(g.class_sizes, g.shift_min[0]) != res.value:
         raise InvariantError(  # pragma: no cover - cross-check

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -168,6 +168,11 @@ class WeightedRep:
         s = self.total
         return self.quota / s, tuple(w / s for w in self.weights)
 
+    @cached_property
+    def view(self) -> "ClassView":
+        """The game's ``ClassView``, built on first use."""
+        return class_view(self)
+
     def weight_of(self, mask: int) -> Fraction:
         w = Fraction(0)
         i = 0
@@ -191,43 +196,45 @@ def weight_groups(rep: WeightedRep) -> list[list[int]]:
     return [by_weight[w] for w in sorted(by_weight, reverse=True)]
 
 
-def min_winning_vectors_weighted(rep: WeightedRep) -> list[tuple[int, ...]]:
-    """Componentwise-minimal winning count vectors over equal-weight groups.
+def _minimal_counts(
+    values: Sequence[int], sizes: Sequence[int], quota: int
+) -> list[tuple[int, ...]]:
+    """Componentwise-minimal count vectors ``c <= sizes`` whose value
+    ``sum(c[j] * values[j])`` reaches ``quota``.
 
-    Groups follow ``weight_groups`` order (heaviest first).  The search adds
-    counts group by group; once a prefix reaches the quota, larger counts in
-    the same group cannot be minimal, and branches whose remaining weight
-    cannot reach the quota are cut.
+    ``values`` must be non-increasing.  The search adds counts group by
+    group; once a prefix reaches the quota, larger counts in the same group
+    cannot be minimal, and branches whose remaining value cannot reach the
+    quota are cut.  At ``quota <= 0`` the zero vector is the one minimal
+    vector.
     """
-    groups = weight_groups(rep)
-    qhat, what = rep.integral()
-    gw = [what[g[0]] for g in groups]
-    sizes = [len(g) for g in groups]
-    t = len(groups)
+    t = len(values)
+    if quota <= 0:
+        return [(0,) * t]
     suffix = [0] * (t + 1)
     for g in range(t - 1, -1, -1):
-        suffix[g] = suffix[g + 1] + sizes[g] * gw[g]
+        suffix[g] = suffix[g + 1] + sizes[g] * values[g]
     out: list[tuple[int, ...]] = []
 
     def rec(g: int, counts: list[int], total: int, lightest) -> None:
-        if total >= qhat:
-            if lightest is not None and total - lightest < qhat:
+        if total >= quota:
+            if lightest is not None and total - lightest < quota:
                 out.append(tuple(counts) + (0,) * (t - g))
             return
-        if g == t or total + suffix[g] < qhat:
+        if g == t or total + suffix[g] < quota:
             return
-        if gw[g] == 0:
-            # zero-weight players never occur in a minimal winning coalition
+        if values[g] == 0:
+            # zero-value groups never occur in a minimal vector
             counts.append(0)
             rec(g + 1, counts, total, lightest)
             counts.pop()
             return
         for c in range(sizes[g] + 1):
-            t2 = total + c * gw[g]
+            t2 = total + c * values[g]
             counts.append(c)
-            rec(g + 1, counts, t2, gw[g] if c else lightest)
+            rec(g + 1, counts, t2, values[g] if c else lightest)
             counts.pop()
-            if t2 >= qhat:
+            if t2 >= quota:
                 break
 
     rec(0, [], 0, None)
@@ -244,9 +251,9 @@ class SimpleGame:
 
     ``min_winning`` is kept in canonical order (lexicographic by player
     tuple).  ``rep`` / ``complete`` record provenance when the game was built
-    from a weighted representation or a complete-game parameterization; they
-    are read only by ``class_view``, whose result ``view`` is cached on the
-    game, and they never change results.
+    from a weighted representation or a complete-game parameterization.
+    Outside the CLI they are read only by ``class_view``, whose result
+    ``view`` is cached on the game, and they never change results.
     """
 
     n: int
@@ -319,40 +326,15 @@ def simple_game(n: int, coalitions, *, validate: bool = True) -> SimpleGame:
 
 
 def game_from_weighted(rep: WeightedRep) -> SimpleGame:
-    """Minimal winning coalitions of ``[q; w]``, enumerated exactly.
+    """The simple game of ``[q; w]``: the expansion of ``rep.view``.
 
-    The search descends over players in decreasing weight order and prunes
-    any branch whose remaining weight cannot reach the quota, so the work is
-    proportional to the number of viable prefixes rather than ``2^n``.
-    Zero-weight players never occur in a minimal winning coalition and are
-    skipped outright.
+    Its minimal winning coalitions are all coalitions whose count vector
+    over the equal-weight groups is a minimal winning vector of the view.
     """
-    qhat, what = rep.integral()
-    order = sorted(
-        (i for i in range(rep.n) if what[i] > 0), key=lambda i: (-what[i], i)
+    view = rep.view
+    return SimpleGame(
+        rep.n, tuple(masks_with_vectors(view.blocks, view.winning)), rep=rep
     )
-    suffix = [0] * (len(order) + 1)
-    for k in range(len(order) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + what[order[k]]
-    found: list[int] = []
-
-    def descend(k: int, mask: int, total: int, lightest: int) -> None:
-        if total >= qhat:
-            # every proper prefix was losing; minimal iff dropping the
-            # lightest member loses
-            if total - lightest < qhat:
-                found.append(mask)
-            return
-        for j in range(k, len(order)):
-            if total + suffix[j] < qhat:
-                break
-            p = order[j]
-            descend(j + 1, mask | (1 << p), total + what[p], what[p])
-
-    descend(0, 0, 0, 0)
-    if not found:
-        raise InvariantError("no minimal winning coalition found")  # pragma: no cover
-    return SimpleGame(rep.n, tuple(found), rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -468,44 +450,6 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
 # dual antichain and flags
 
 
-def _maximal_counts_within_budget(
-    values: Sequence[int], sizes: Sequence[int], budget: int
-) -> list[tuple[int, ...]]:
-    """Componentwise-maximal count vectors ``c <= sizes`` whose value
-    ``sum(c[j] * values[j])`` is at most ``budget``.
-
-    ``values`` must be non-increasing; zero-value groups are full in every
-    maximal vector.  Deterministic DFS, larger counts first.
-    """
-    t = len(values)
-    suffix = [0] * (t + 1)
-    for j in range(t - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + values[j] * sizes[j]
-    out: list[tuple[int, ...]] = []
-    counts: list[int] = []
-
-    def descend(j: int, total: int, min_short: int) -> None:
-        # min_short: least value of a group left below its size so far
-        if total + suffix[j] <= budget:
-            # everything left fits, so filling up is the one maximal
-            # completion here; it is maximal overall iff no short group
-            # would fit one more member
-            if total + suffix[j] + min_short > budget:
-                out.append(tuple(counts) + tuple(sizes[j:]))
-            return
-        v = values[j]
-        for c in range(min(sizes[j], (budget - total) // v), -1, -1):
-            counts.append(c)
-            short = min_short if c == sizes[j] else min(min_short, v)
-            descend(j + 1, total + c * v, short)
-            counts.pop()
-
-    if budget < 0:
-        return []
-    descend(0, 0, budget + 1)
-    return out
-
-
 def dense_winning_table(game: SimpleGame) -> np.ndarray:
     """Boolean table of all 2^n coalition values (n <= DENSE_TABLE_CAP)."""
     if game.n > DENSE_TABLE_CAP:
@@ -562,7 +506,7 @@ def structure_flags(game: SimpleGame) -> StructureFlags:
     view = game.view
 
     def complement_wins(v) -> bool:
-        return view.wins(tuple(n - x for n, x in zip(view.sizes, v)))
+        return view.wins(_complement(view.sizes, v))
 
     proper = not any(complement_wins(v) for v in view.winning)
     strong = all(complement_wins(u) for u in view.losing)
@@ -635,6 +579,11 @@ class CompleteGame:
         """The game's ``ClassView``, built on first use."""
         return class_view(self)
 
+    def wins(self, c: Sequence[int]) -> bool:
+        """Whether count vector ``c`` wins: some shift-minimal row precedes
+        it in prefix dominance."""
+        return any(shift_leq(row, c) for row in self.shift_min)
+
     def has_vetoers(self) -> bool:
         # the strongest class is all-veto exactly when no row drops a player
         # from it
@@ -696,56 +645,45 @@ def vector_is_winning(g: CompleteGame, c: Sequence[int]) -> bool:
     for j, x in enumerate(c):
         if not 0 <= x <= g.class_sizes[j]:
             raise ValueError(f"component {j} = {x} outside 0..{g.class_sizes[j]}")
-    return any(shift_leq(row, c) for row in g.shift_min)
+    return g.wins(c)
 
 
-def _lattice(class_sizes):
-    size = 1
-    for nj in class_sizes:
-        size *= nj + 1
+def _complement(sizes: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(sub, sizes, v))
+
+
+def _lattice_minimal(sizes: Sequence[int], wins) -> list[tuple[int, ...]]:
+    """Componentwise-minimal count vectors ``c <= sizes`` with ``wins(c)``,
+    in lexicographic (lattice) order."""
+    size = prod(nj + 1 for nj in sizes)
     if size > LATTICE_CAP:
         raise CapacityError(
             f"coalition-vector lattice of size {size} exceeds {LATTICE_CAP}"
         )
-    return itertools.product(*(range(nj + 1) for nj in class_sizes))
+    out = []
+    for c in itertools.product(*(range(nj + 1) for nj in sizes)):
+        if wins(c) and not any(
+            c[j] and wins(c[:j] + (c[j] - 1,) + c[j + 1 :]) for j in range(len(c))
+        ):
+            out.append(c)
+    return out
 
 
 def minimal_winning_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
-    """Componentwise-minimal winning count vectors (lattice scan)."""
-    out = []
-    for c in _lattice(g.class_sizes):
-        if not vector_is_winning(g, c):
-            continue
-        minimal = True
-        for j in range(g.t):
-            if c[j] > 0:
-                d = list(c)
-                d[j] -= 1
-                if vector_is_winning(g, d):
-                    minimal = False
-                    break
-        if minimal:
-            out.append(c)
-    return out
+    """Componentwise-minimal winning count vectors, in lattice order."""
+    return _lattice_minimal(g.class_sizes, g.wins)
 
 
 def maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
-    """Componentwise-maximal losing count vectors (lattice scan)."""
-    out = []
-    for c in _lattice(g.class_sizes):
-        if vector_is_winning(g, c):
-            continue
-        maximal = True
-        for j in range(g.t):
-            if c[j] < g.class_sizes[j]:
-                d = list(c)
-                d[j] += 1
-                if not vector_is_winning(g, d):
-                    maximal = False
-                    break
-        if maximal:
-            out.append(c)
-    return out
+    """Componentwise-maximal losing count vectors, in lattice order.
+
+    They are the complements ``sizes - d`` of the dual game's minimal
+    winning vectors ``d`` (``d`` wins the dual when ``sizes - d`` loses);
+    complementing reverses the lattice order, so the list is reversed back.
+    """
+    sizes = g.class_sizes
+    dual = _lattice_minimal(sizes, lambda d: not g.wins(_complement(sizes, d)))
+    return [_complement(sizes, d) for d in reversed(dual)]
 
 
 def player_blocks(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -769,16 +707,19 @@ def masks_with_vectors(blocks, vectors) -> list[int]:
 
 
 def expand_complete(g: CompleteGame) -> SimpleGame:
-    """The simple game on ``sum(class_sizes)`` players induced by ``g``.
+    """The simple game on ``sum(class_sizes)`` players: the expansion of
+    ``g.view``.
 
     Players are numbered class by class, strongest class first.  The minimal
-    winning coalitions are all coalitions whose count vector is a
-    componentwise-minimal winning vector.
+    winning coalitions are all coalitions whose count vector is a minimal
+    winning vector of the view.
     """
     if g.n > MAX_PLAYERS:
         raise CapacityError(f"{g.n} players exceed the capacity of {MAX_PLAYERS}")
-    masks = masks_with_vectors(g.view.blocks, g.view.winning)
-    return SimpleGame(g.n, tuple(masks), complete=g)
+    view = g.view
+    return SimpleGame(
+        g.n, tuple(masks_with_vectors(view.blocks, view.winning)), complete=g
+    )
 
 
 def vector_of_mask(mask: int, classes: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -889,37 +830,44 @@ class ClassView:
 
 
 def class_view(game) -> ClassView:
-    """The class view of a ``SimpleGame`` or a ``CompleteGame``.
+    """The class view of a ``WeightedRep``, a ``CompleteGame`` or a
+    ``SimpleGame``.
 
-    This is the one place that reads a game's provenance.  The blocks are
-    the ones each kind of game has without any search: equal-weight groups
-    of a weighted representation in ``min_winning_vectors_weighted`` order,
-    the classes of a complete game with vectors in lattice order, or one
-    block per player with incidence rows in ``min_winning`` order.
+    This is the one place that reads a game's provenance: a ``SimpleGame``
+    built from a weighted or complete game returns its source's view.  The
+    blocks are the ones each kind of game has without any search:
+    equal-weight groups of a weighted representation (heaviest first), the
+    classes of a complete game with vectors in lattice order, or one block
+    per player with incidence rows in ``min_winning`` order.
     """
     if isinstance(game, CompleteGame):
         return ClassView(
             "classes",
             player_blocks(game.class_sizes),
-            lambda c: any(shift_leq(row, c) for row in game.shift_min),
+            game.wins,
             lambda: minimal_winning_vectors(game),
             lambda: maximal_losing_vectors(game),
         )
-    if game.complete is not None:
-        return game.complete.view
-    if game.rep is not None:
-        rep = game.rep
-        groups = weight_groups(rep)
-        qhat, what = rep.integral()
+    if isinstance(game, WeightedRep):
+        groups = weight_groups(game)
+        qhat, what = game.integral()
         values = [what[g[0]] for g in groups]
         sizes = [len(g) for g in groups]
+        # a vector loses iff its complement reaches total - qhat + 1
+        dual_quota = sum(map(mul, values, sizes)) - qhat + 1
         return ClassView(
             "weights",
             groups,
             lambda c: sum(x * w for x, w in zip(c, values)) >= qhat,
-            lambda: min_winning_vectors_weighted(rep),
-            lambda: _maximal_counts_within_budget(values, sizes, qhat - 1),
+            lambda: _minimal_counts(values, sizes, qhat),
+            lambda: [
+                _complement(sizes, d)
+                for d in _minimal_counts(values, sizes, dual_quota)
+            ],
         )
+    source = game.complete or game.rep
+    if source is not None:
+        return source.view
     # the closures below hold the antichain, not the game, so that a game
     # and its cached view form no reference cycle
     n, min_winning = game.n, game.min_winning

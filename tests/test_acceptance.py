@@ -174,13 +174,11 @@ def test_03_parametric_family():
     for k in (1, 2, 3):
         rep = WeightedRep(22 * k - 11, (5,) * (2 * k) + (2,) * (6 * k))
         game = game_from_weighted(rep)
-        method = "vectors" if k == 3 else "cover"
-        result = nakamura_exact(game, method=method)
+        result = nakamura_exact(game)
         assert result.value == 2 * k, k
         assert verify_witness(game, result.witness)
         assert weighted_bounds(rep).lower == 2 * k
-        if k <= 2:
-            assert nakamura_exact(game, method="vectors").value == 2 * k
+        assert nakamura_by_vectors(vector_instance(game)).value == 2 * k
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(f"03 parametric-family k=1..3: PASS ({elapsed:.2f}s)")

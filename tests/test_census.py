@@ -9,6 +9,7 @@ from nakamura.census import (
     census,
     compositions,
     count_r1,
+    enumerate_complete,
     enumerate_r1,
     merge_rows,
     r1_value,
@@ -183,32 +184,35 @@ def test_shard_merge_associative():
 
 
 def test_minimal_maximal_vectors_against_lattice():
-    for n in range(2, 8):
-        for g in enumerate_r1(n):
-            sizes = g.class_sizes
-            lattice = list(
-                itertools.product(*(range(s + 1) for s in sizes))
+    # both lists come in lattice order, which fixes the class-level
+    # critical-LP weights that reports print
+    games = [g for n in range(2, 8) for g in enumerate_r1(n)]
+    games += [g for n in range(1, 6) for g in enumerate_complete(n)]
+    for g in games:
+        sizes = g.class_sizes
+        lattice = list(
+            itertools.product(*(range(s + 1) for s in sizes))
+        )
+        winning = [c for c in lattice if vector_is_winning(g, c)]
+        losing = [c for c in lattice if not vector_is_winning(g, c)]
+        min_w = [
+            c
+            for c in winning
+            if not any(
+                u != c and all(a <= b for a, b in zip(u, c))
+                for u in winning
             )
-            winning = [c for c in lattice if vector_is_winning(g, c)]
-            losing = [c for c in lattice if not vector_is_winning(g, c)]
-            min_w = [
-                c
-                for c in winning
-                if not any(
-                    u != c and all(a <= b for a, b in zip(u, c))
-                    for u in winning
-                )
-            ]
-            max_l = [
-                c
-                for c in losing
-                if not any(
-                    u != c and all(a >= b for a, b in zip(u, c))
-                    for u in losing
-                )
-            ]
-            assert sorted(minimal_winning_vectors(g)) == sorted(min_w)
-            assert sorted(maximal_losing_vectors(g)) == sorted(max_l)
+        ]
+        max_l = [
+            c
+            for c in losing
+            if not any(
+                u != c and all(a >= b for a, b in zip(u, c))
+                for u in losing
+            )
+        ]
+        assert minimal_winning_vectors(g) == min_w
+        assert maximal_losing_vectors(g) == max_l
 
 
 def test_compositions_order():

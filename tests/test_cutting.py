@@ -51,6 +51,12 @@ def test_patterns_tiny_stock():
     assert sorted(players_from_mask(p) for p in pats.patterns) == [(1,), (2,)]
 
 
+def test_patterns_everything_fits():
+    # no item has to be left out: the one maximal pattern holds them all
+    pats = patterns_from_instance(CspInstance(10, (3, 3)))
+    assert [players_from_mask(p) for p in pats.patterns] == [(1, 2)]
+
+
 def test_patterns_oversized_item_rejected():
     with pytest.raises(InvalidGameError, match="item 2"):
         patterns_from_instance(CspInstance(5, (3, 7)))

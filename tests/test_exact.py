@@ -105,8 +105,8 @@ def test_methods_agree():
     rng = random.Random(31)
     for _ in range(30):
         rep, game = random_vetoer_free(rng, n_max=9)
-        cover = nakamura_exact(game, method="cover")
-        vectors = nakamura_exact(game, method="vectors")
+        cover = nakamura_exact(game)
+        vectors = nakamura_by_vectors(vector_instance(game))
         assert cover.value == vectors.value
         assert verify_witness(game, cover.witness)
         assert verify_witness(game, vectors.witness)
@@ -388,3 +388,23 @@ def test_decision_modules_divide_in_integers_only():
             if isinstance(getattr(node, "op", None), ast.Div)
         ]
         assert not divs, f"{name}: true division on lines {lines}"
+
+
+def test_provenance_read_only_by_class_view():
+    # a game's rep / complete fields are read by class_view alone; every
+    # other consumer asks the view
+    root = Path(nakamura.__file__).parent
+    for name in ("games.py", "exact.py", "bounds.py"):
+        tree = ast.parse((root / name).read_text(), name)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "class_view":
+                allowed = set(ast.walk(node))
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("rep", "complete")
+            and node not in allowed
+        ]
+        assert not reads, f"{name}: provenance read on lines {reads}"
