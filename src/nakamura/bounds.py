@@ -183,16 +183,15 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
     costs = [0] * nv + [1]
     rows = []
     for j in range(t):
-        coeffs = [Fraction(vec[j], sizes[j]) for vec in vectors] + [-1]
-        rows.append((coeffs, "<=", 0))
+        # class row j, times the class size: sum_V V[j] y_V <= sizes[j] v
+        rows.append(([vec[j] for vec in vectors] + [-sizes[j]], "<=", 0))
     rows.append(([1] * nv + [0], "==", 1))
     res = lp.solve_lp(costs, rows)
     if res.status != lp.OPTIMAL:  # pragma: no cover - always feasible/bounded
         raise InvariantError(f"quota LP unexpectedly {res.status}")
     qstar = res.objective
-    # the dual of class row j is the total mass of the class; per-player
-    # weight divides by the class size
-    block_w = [-res.duals[j] / sizes[j] for j in range(t)]
+    # the dual of class row j is the per-player weight of the class
+    block_w = [-res.duals[j] for j in range(t)]
     if any(w < 0 for w in block_w):  # pragma: no cover - certificate guard
         raise InvariantError("negative weight in quota LP certificate")
     scale = sum(sizes[j] * block_w[j] for j in range(t))

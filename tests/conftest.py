@@ -4,16 +4,20 @@ The oracles deliberately avoid the library's own fast paths: winning tests
 scan the antichain directly, dual antichains and desirability come from
 full 2^n sweeps, the Nakamura oracle enumerates coalition subsets, and the
 weightedness oracle checks its certificates on the whole count-vector
-lattice.
+lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
+with no integer scaling.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from nakamura import lp
+from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import SimpleGame, WeightedRep, game_from_weighted
 
 
@@ -140,6 +144,164 @@ def oracle_r1_certificate(sizes, row):
                 return ("trade", (a, b), pair)
     raise AssertionError(f"no certificate for classes {sizes}, row {row}")
 
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def oracle_solve_lp(
+    costs: Sequence, rows: Sequence[tuple[Sequence, str, object]]
+) -> LpResult:
+    """``lp.solve_lp`` on a ``Fraction`` tableau: the reference it must equal.
+
+    The same two-phase simplex and Bland's rule, pivoting in rationals with
+    no scaling, so status, objective, solution and duals must agree exactly.
+    """
+    n = len(costs)
+    costs = [Fraction(c) for c in costs]
+    m = len(rows)
+
+    # normalize rows to non-negative rhs and assign marker columns
+    norm = []
+    flip = []
+    for coeffs, rel, rhs in rows:
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != n:
+            raise ValueError("coefficient row length mismatch")
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+            flip.append(-1)
+        else:
+            flip.append(1)
+        norm.append((coeffs, rel, rhs))
+
+    n_slack = sum(1 for _, rel, _ in norm if rel in ("<=", ">="))
+    n_art = sum(1 for _, rel, _ in norm if rel in (">=", "=="))
+    total = n + n_slack + n_art
+    art_start = n + n_slack
+
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    # marker[i] = (column, sign) used to read the dual of row i at the end
+    marker: list[tuple[int, int]] = []
+    s_idx = n
+    a_idx = art_start
+    artificial_rows = []
+    for i, (coeffs, rel, rhs) in enumerate(norm):
+        row = coeffs + [_ZERO] * (total - n) + [rhs]
+        if rel == "<=":
+            row[s_idx] = _ONE
+            basis.append(s_idx)
+            marker.append((s_idx, -1))
+            s_idx += 1
+        elif rel == ">=":
+            row[s_idx] = -_ONE
+            marker.append((s_idx, +1))
+            s_idx += 1
+            row[a_idx] = _ONE
+            basis.append(a_idx)
+            artificial_rows.append(i)
+            a_idx += 1
+        else:
+            row[a_idx] = _ONE
+            basis.append(a_idx)
+            marker.append((a_idx, -1))
+            artificial_rows.append(i)
+            a_idx += 1
+        tableau.append(row)
+
+    def pivot(z: list[Fraction], r: int, c: int) -> None:
+        prow = tableau[r]
+        inv = _ONE / prow[c]
+        if inv != 1:
+            tableau[r] = prow = [v * inv for v in prow]
+        for row in tableau:
+            if row is prow:
+                continue
+            f = row[c]
+            if f:
+                for j in range(total + 1):
+                    if prow[j]:
+                        row[j] -= f * prow[j]
+        f = z[c]
+        if f:
+            for j in range(total + 1):
+                if prow[j]:
+                    z[j] -= f * prow[j]
+        basis[r] = c
+
+    def run(z: list[Fraction], allowed: int) -> str:
+        # Bland's rule: lowest-index entering column with negative reduced
+        # cost, lowest basis index among ratio ties.
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if z[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            best = None
+            leave = -1
+            for i, row in enumerate(tableau):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[total] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            pivot(z, leave, enter)
+
+    # phase 1: minimize the sum of artificials
+    if n_art:
+        z = [_ZERO] * (total + 1)
+        for j in range(art_start, total):
+            z[j] = _ONE
+        for i in artificial_rows:
+            row = tableau[i]
+            for j in range(total + 1):
+                if row[j]:
+                    z[j] -= row[j]
+        run(z, total)
+        if -z[total] > 0:
+            return LpResult(INFEASIBLE)
+        # pivot leftover artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= art_start:
+                row = tableau[i]
+                for j in range(art_start):
+                    if row[j]:
+                        pivot(z, i, j)
+                        break
+
+    # phase 2 on the true costs; artificial columns may not re-enter
+    z = costs + [_ZERO] * (n_slack + n_art) + [_ZERO]
+    for i, b in enumerate(basis):
+        if b >= art_start:
+            continue
+        f = z[b]
+        if f:
+            row = tableau[i]
+            for j in range(total + 1):
+                if row[j]:
+                    z[j] -= f * row[j]
+    status = run(z, art_start)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED)
+
+    x = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[i][total]
+    duals = [f * sign * z[col] for f, (col, sign) in zip(flip, marker)]
+    return LpResult(OPTIMAL, objective=-z[total], x=x, duals=duals)
 
 def random_rep(rng: random.Random, n_max: int = 10, w_max: int = 9) -> WeightedRep:
     while True:
