@@ -90,11 +90,12 @@ def solve_lp(
         else:
             flip.append(1)
         s = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        norm.append((_times(coeffs + [rhs], s), rel))
+        *coeffs, rhs = _times(coeffs + [rhs], s)
+        norm.append((coeffs, rel, rhs))
         scale.append(s)
 
-    n_slack = sum(1 for _, rel in norm if rel in ("<=", ">="))
-    n_art = sum(1 for _, rel in norm if rel in (">=", "=="))
+    n_slack = sum(1 for _, rel, _ in norm if rel in ("<=", ">="))
+    n_art = sum(1 for _, rel, _ in norm if rel in (">=", "=="))
     total = n + n_slack + n_art
     art_start = n + n_slack
 
@@ -105,8 +106,8 @@ def solve_lp(
     s_idx = n
     a_idx = art_start
     artificial_rows = []
-    for i, (coeffs, rel) in enumerate(norm):
-        row = coeffs[:n] + [0] * (total - n) + coeffs[n:]
+    for i, (coeffs, rel, rhs) in enumerate(norm):
+        row = coeffs + [0] * (total - n) + [rhs]
         if rel == "<=":
             row[s_idx] = 1
             basis.append(s_idx)
@@ -130,7 +131,7 @@ def solve_lp(
 
     d = 1  # the true tableau is tableau / d
 
-    def pivot(z: Optional[list[int]], r: int, c: int) -> None:
+    def pivot(z: list[int], r: int, c: int) -> None:
         nonlocal d
         prow = tableau[r]
         p = prow[c]
@@ -147,9 +148,8 @@ def solve_lp(
                 elif p != d:
                     # rows clear of column c still move to denominator p
                     tableau[i] = [p * a // d for a in row]
-        if z is not None:
-            f = z[c]
-            z[:] = [(p * a - f * b) // d for a, b in zip(z, prow)]
+        f = z[c]
+        z[:] = [(p * a - f * b) // d for a, b in zip(z, prow)]
         d = p
         basis[r] = c
 
@@ -197,7 +197,7 @@ def solve_lp(
                 row = tableau[i]
                 for j in range(art_start):
                     if row[j]:
-                        pivot(None, i, j)
+                        pivot(z, i, j)
                         break
 
     # phase 2 on the true costs times k; artificial columns may not re-enter
