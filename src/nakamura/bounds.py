@@ -17,15 +17,20 @@ Bound families:
   vector can certify, with the derived minimum maximum excess, price of
   stability, and lower bound.
 * ``alpha_critical`` -- the least alpha admitting a rough representation;
-  below 1 exactly for weighted games, which drives the weightedness filter
-  of the census module.
+  below 1 exactly for weighted games.
+* ``is_weighted_vectors`` -- the weightedness test of the census module: the
+  same threshold over ordered class weights of a complete game, with rows
+  only for its shift-minimal winning rows and its shift-maximal losing
+  vectors, and a weighted verdict certified by integer weights and quota.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import accumulate
+from math import ceil, lcm
+from operator import lt, mul
 from typing import Optional, Sequence
 
 from . import lp
@@ -247,18 +252,6 @@ def alpha_critical(game: SimpleGame) -> Fraction:
     return critical_rough_representation(game)[0]
 
 
-def alpha_critical_vectors(
-    class_sizes: Sequence[int], winning, losing
-) -> Fraction:
-    """Critical threshold over per-class weights and count-vector antichains.
-
-    Exact for any game that is invariant under class-preserving player
-    permutations: some optimal rough representation is then constant on
-    classes, so restricting the LP to one weight per class loses nothing.
-    """
-    return _critical_lp(len(class_sizes), winning, losing)[0]
-
-
 def critical_rough_representation(
     game: SimpleGame,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -287,6 +280,54 @@ def critical_rough_representation(
     )
 
 
-def is_weighted_vectors(class_sizes, winning, losing) -> bool:
-    """Weightedness test: critical threshold strictly below 1."""
-    return alpha_critical_vectors(class_sizes, winning, losing) < 1
+def is_weighted_vectors(shift_min, losing) -> bool:
+    """Whether a complete game is weighted, from its shift-extreme vectors.
+
+    ``shift_min`` are the game's shift-minimal winning rows and ``losing``
+    its shift-maximal losing vectors.  The LP minimizes ``alpha`` over class
+    weights ``w_1 >= ... >= w_t >= 0`` such that every row weighs at least
+    1 and every losing vector at most ``alpha``; the game is weighted iff
+    ``alpha < 1``.  Ordered weights make a vector's weight monotone under
+    shift dominance, so these few rows carry both conditions to every
+    winning and every losing vector.  No representation is lost by the
+    order: in a weighted game a more desirable player never has to weigh
+    less (Taylor and Zwicker 1999).
+
+    The LP runs on the steps ``d_k = w_k - w_{k+1} >= 0`` (``w_{t+1} = 0``),
+    under which a vector weighs ``sum_k C_k d_k`` over its prefix sums
+    ``C``, so the order needs no rows.  A weighted verdict is certified in
+    integers by ``_check_ordered_certificate`` before it is returned.
+    """
+    t = len(shift_min[0])
+    rows = [([*accumulate(v), 0], ">=", 1) for v in shift_min]
+    rows += [([*accumulate(u), -1], "<=", 0) for u in losing]
+    res = lp.solve_lp([0] * t + [1], rows)
+    if res.status != lp.OPTIMAL:  # pragma: no cover - always feasible/bounded
+        raise InvariantError(f"ordered weight LP unexpectedly {res.status}")
+    if res.objective >= 1:
+        return False
+    # scaled by the common denominator of the steps, every row weighs at
+    # least the scale and every losing vector at most alpha times it; the
+    # class weights are the suffix sums of the scaled steps
+    steps = res.x[:t]
+    quota = lcm(*(x.denominator for x in steps))
+    scaled = (x.numerator * (quota // x.denominator) for x in reversed(steps))
+    weights = list(accumulate(scaled))[::-1]
+    _check_ordered_certificate(shift_min, losing, weights, quota)
+    return True
+
+
+def _check_ordered_certificate(shift_min, losing, weights, quota) -> None:
+    """Check in integers that non-increasing, non-negative class weights
+    give every shift-minimal row at least ``quota`` and every shift-maximal
+    losing vector less; raise ``InvariantError`` otherwise."""
+
+    def weight(v) -> int:
+        return sum(map(mul, v, weights))
+
+    if weights[-1] < 0 or any(map(lt, weights, weights[1:])):
+        raise InvariantError("certificate weights are not ordered")
+    if any(weight(v) < quota for v in shift_min):
+        raise InvariantError("a shift-minimal row weighs less than the quota")
+    if any(weight(u) >= quota for u in losing):
+        raise InvariantError("a shift-maximal losing vector reaches the quota")

@@ -5,7 +5,10 @@ For a composition ``(n_1, ..., n_t)`` of n, the admissible single rows are
 ``m_t in 0..n_t - 1`` (and ``m_1 in 1..n_1`` alone when t = 1).  The
 Nakamura number of each such game comes from the prefix-sum closed form,
 infinite exactly when ``m_1 = n_1``.  The weighted subclass is selected by
-the critical-threshold LP over count vectors.
+an LP over ordered class weights whose only rows are the game's
+shift-minimal winning rows and its shift-maximal losing vectors; every
+weighted verdict comes with integer class weights and a quota, checked on
+those vectors (``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from .bounds import is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
-    class_view,
     prefix_sums,
     shift_incomparable,
+    shift_maximal_losing_vectors,
 )
 
 COMPLETE_R1 = "complete_r1"
@@ -66,6 +69,8 @@ def enumerate_r1(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if shards < 1:
+        raise ValueError("shards must be positive")
     if not 0 <= shard < shards:
         raise ValueError("shard index out of range")
     for idx, sizes in enumerate(compositions(n)):
@@ -160,9 +165,9 @@ def census(
 
 
 def is_weighted_complete(g: CompleteGame) -> bool:
-    """Whether a complete game is weighted, decided on its class view."""
-    view = class_view(g)
-    return is_weighted_vectors(view.sizes, view.winning, view.losing)
+    """Whether a complete game is weighted, decided on its shift-minimal rows
+    and its shift-maximal losing vectors."""
+    return is_weighted_vectors(g.shift_min, shift_maximal_losing_vectors(g))
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,8 @@ def _census_columns(n_max: int) -> list:
 def cmd_census(args) -> int:
     klass = args.klass
     cap = None if not args.force else 10 ** 9
+    if args.nmin > args.nmax:
+        raise ValueError(f"nmin {args.nmin} exceeds nmax {args.nmax}")
     rows = []
     for n in range(args.nmin, args.nmax + 1):
         rows.append(

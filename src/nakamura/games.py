@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
-from operator import mul, sub
+from operator import ge, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -684,6 +684,51 @@ def maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
     sizes = g.class_sizes
     dual = _lattice_minimal(sizes, lambda d: not g.wins(_complement(sizes, d)))
     return [_complement(sizes, d) for d in reversed(dual)]
+
+
+def shift_maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
+    """Shift-maximal losing count vectors, in decreasing lexicographic order.
+
+    Works on prefix sums ``C``, where the valid sequences (``0 <= C_k -
+    C_{k-1} <= n_k``) form a distributive lattice under componentwise min
+    and max, and shift dominance is componentwise order.  A vector loses to
+    a row with prefix sums ``P`` iff ``C_i <= P_i - 1`` for some class ``i``;
+    for each ``i`` with ``P_i >= 1`` the greatest such sequence puts
+    ``P_i - 1`` players into the classes up to ``i``, strongest first, and
+    takes every player after class ``i``.  A vector loses the game iff it
+    loses to every row, so the rows are folded in one at a time: meet every
+    kept sequence with every candidate of the next row and keep the
+    maximal meets.
+    """
+    o = prefix_sums(g.class_sizes)
+    t = len(o)
+    kept = None
+    for row in g.shift_min:
+        p = prefix_sums(row)
+        candidates = [
+            tuple(min(ok, p[i] - 1) for ok in o[:i])
+            + tuple(p[i] - 1 + ok - o[i] for ok in o[i:])
+            for i in range(t)
+            if p[i]
+        ]
+        if kept is not None:
+            candidates = [
+                tuple(map(min, a, b)) for a in kept for b in candidates
+            ]
+        kept = _maximal_sequences(candidates)
+    return sorted(
+        (tuple(map(sub, s, (0,) + s[:-1])) for s in kept), reverse=True
+    )
+
+
+def _maximal_sequences(seqs) -> list[tuple[int, ...]]:
+    """Componentwise-maximal elements; a dominating sequence sorts first in
+    decreasing lexicographic order, so each is tested against those kept."""
+    out: list[tuple[int, ...]] = []
+    for s in sorted(set(seqs), reverse=True):
+        if not any(all(map(ge, u, s)) for u in out):
+            out.append(s)
+    return out
 
 
 def player_blocks(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:

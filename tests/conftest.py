@@ -17,6 +17,7 @@ from typing import Sequence
 import pytest
 
 from nakamura import lp
+from nakamura.bounds import _critical_lp
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import SimpleGame, WeightedRep, game_from_weighted
 
@@ -143,6 +144,18 @@ def oracle_r1_certificate(sizes, row):
             if all(x <= y for x, y in zip(s, total)):
                 return ("trade", (a, b), pair)
     raise AssertionError(f"no certificate for classes {sizes}, row {row}")
+
+
+def oracle_alpha_critical_vectors(
+    class_sizes: Sequence[int], winning, losing
+) -> Fraction:
+    """Critical threshold over per-class weights and count-vector antichains.
+
+    Exact for any game that is invariant under class-preserving player
+    permutations: some optimal rough representation is then constant on
+    classes, so restricting the LP to one weight per class loses nothing.
+    """
+    return _critical_lp(len(class_sizes), winning, losing)[0]
 
 
 _ZERO = Fraction(0)

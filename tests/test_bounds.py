@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
-from conftest import random_vetoer_free
+import pytest
+
+from conftest import oracle_alpha_critical_vectors, random_vetoer_free
 from nakamura.bounds import (
     alpha_critical,
-    alpha_critical_vectors,
     alpha_roughly_bounds,
     cardinality_bounds,
     greedy_upper,
@@ -13,7 +14,12 @@ from nakamura.bounds import (
     weighted_bounds,
 )
 from nakamura.exact import nakamura_exact
-from nakamura.games import WeightedRep, game_from_weighted, simple_game
+from nakamura.games import (
+    InvariantError,
+    WeightedRep,
+    game_from_weighted,
+    simple_game,
+)
 
 
 def weighted(quota, *weights):
@@ -220,7 +226,7 @@ def test_alpha_critical_non_weighted():
 
 
 def test_alpha_critical_vector_level_agrees():
-    from nakamura.census import enumerate_r1
+    from nakamura.census import enumerate_r1, is_weighted_complete
     from nakamura.games import (
         expand_complete,
         maximal_losing_vectors,
@@ -228,11 +234,44 @@ def test_alpha_critical_vector_level_agrees():
     )
 
     for g in enumerate_r1(6):
-        vec = alpha_critical_vectors(
+        vec = oracle_alpha_critical_vectors(
             g.class_sizes, minimal_winning_vectors(g), maximal_losing_vectors(g)
         )
         player = alpha_critical(expand_complete(g))
-        assert (vec < 1) == (player < 1)
+        assert (vec < 1) == (player < 1) == is_weighted_complete(g)
+
+
+def test_ordered_certificate_rejects_broken_certificates():
+    from nakamura.bounds import _check_ordered_certificate
+
+    # [3; 2, 1, 1]: classes (1, 2), one shift-minimal row (1, 1), and the
+    # shift-maximal losing vectors (1, 0) and (0, 2)
+    rows, losing = [(1, 1)], [(1, 0), (0, 2)]
+    _check_ordered_certificate(rows, losing, [2, 1], 3)
+    for weights, quota in (
+        ([1, 2], 3),  # not ordered
+        ([2, -1], 1),  # negative
+        ([2, 1], 4),  # the row falls short of the quota
+        ([2, 1], 2),  # a losing vector reaches the quota
+    ):
+        with pytest.raises(InvariantError):
+            _check_ordered_certificate(rows, losing, weights, quota)
+
+
+def test_weighted_verdict_checks_its_certificate(monkeypatch):
+    from nakamura import lp
+    from nakamura.bounds import is_weighted_vectors
+
+    rows, losing = [(1, 1)], [(1, 0), (0, 2)]
+    assert is_weighted_vectors(rows, losing)
+    # steps (1, 0): class weights (1, 0), under which (1, 0) weighs as
+    # much as the row
+    wrong = lp.LpResult(
+        lp.OPTIMAL, Fraction(1, 2), [Fraction(1), Fraction(0), Fraction(1, 2)]
+    )
+    monkeypatch.setattr(lp, "solve_lp", lambda costs, rows: wrong)
+    with pytest.raises(InvariantError):
+        is_weighted_vectors(rows, losing)
 
 
 def test_bound_sandwich(weighted_corpus):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import oracle_alpha_critical_vectors
 from nakamura.census import (
     COMPLETE_R1,
     WEIGHTED_R1,
@@ -11,6 +12,7 @@ from nakamura.census import (
     count_r1,
     enumerate_complete,
     enumerate_r1,
+    is_weighted_complete,
     merge_rows,
     r1_value,
 )
@@ -21,6 +23,8 @@ from nakamura.games import (
     maximal_losing_vectors,
     minimal_winning_vectors,
     prefix_sums,
+    shift_leq,
+    shift_maximal_losing_vectors,
     vector_is_winning,
 )
 
@@ -165,6 +169,25 @@ def test_weighted_filter_agrees_with_reproduction():
                 weights.extend([class_w[j]] * nj)
             rebuilt = game_from_weighted(WeightedRep(Fraction(1), weights))
             assert rebuilt.min_winning == expand_complete(g).min_winning
+
+
+def test_shift_extreme_verdict_against_lattice():
+    # the fold's vectors are the shift-maximal filter of the lattice's
+    # maximal losing vectors, and the ordered-weight verdict on them agrees
+    # with the componentwise LP on the lattice's minimal and maximal vectors
+    games = [g for n in range(1, 11) for g in enumerate_r1(n)]
+    games += [g for n in range(1, 7) for g in enumerate_complete(n)]
+    for g in games:
+        losing = maximal_losing_vectors(g)
+        expected = [
+            v for v in losing
+            if not any(u != v and shift_leq(v, u) for u in losing)
+        ]
+        assert shift_maximal_losing_vectors(g) == sorted(expected, reverse=True)
+        alpha = oracle_alpha_critical_vectors(
+            g.class_sizes, minimal_winning_vectors(g), losing
+        )
+        assert is_weighted_complete(g) == (alpha < 1), (g.class_sizes, g.shift_min)
 
 
 def test_census_caps():

@@ -161,6 +161,20 @@ def test_census_cap_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_census_reversed_range_exit_code(capsys):
+    assert main(["census", "4", "2", "complete_r1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "nmin 4 exceeds nmax 2" in err
+
+
+def test_census_zero_shards_exit_code(capsys):
+    assert main(["census", "4", "4", "complete_r1", "--shards", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: shards must be positive\n"
+
+
 def test_family_command(tmp_path, capsys):
     out_path = tmp_path / "family.game"
     code, out = run(
