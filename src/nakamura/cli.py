@@ -332,7 +332,10 @@ def _family_params(args) -> dict:
     if args.weights:
         params["weights"] = [int(x) for x in args.weights.split(",")]
     if args.qbar:
-        params["qbar"] = Fraction(args.qbar)
+        try:
+            params["qbar"] = Fraction(args.qbar)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidGameError(f"--qbar {args.qbar!r} is not a rational")
     return params
 
 

@@ -46,10 +46,6 @@ class NakamuraResult:
     value: Optional[int]
     witness: tuple[int, ...] = ()
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
 
 INFINITE_RESULT = NakamuraResult(None, ())
 

@@ -55,6 +55,10 @@ class FamilySpec:
     tag: str
     params: dict = field(default_factory=dict)
 
+    def __getitem__(self, key: str):
+        _require(key in self.params, f"family {self.tag} needs --{key}")
+        return self.params[key]
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -65,7 +69,7 @@ def construct_family(spec: FamilySpec) -> Union[WeightedRep, SimpleGame]:
     """Instantiate a cataloged construction; parameter violations name the
     offended range."""
     tag = spec.tag
-    p = spec.params
+    p = spec
     if tag == "max-symmetric":
         n = p["n"]
         _require(n >= 2, "max-symmetric needs n >= 2")
@@ -75,7 +79,7 @@ def construct_family(spec: FamilySpec) -> Union[WeightedRep, SimpleGame]:
         _require(n >= 3, "nearmax-1 needs n >= 3")
         return WeightedRep(2 * n - 4, (2,) * (n - 2) + (1, 1))
     if tag == "nearmax-2":
-        _require(p.get("n", 3) == 3, "nearmax-2 exists only for n = 3")
+        _require(p.params.get("n", 3) == 3, "nearmax-2 exists only for n = 3")
         return WeightedRep(1, (1, 1, 1))
     if tag == "nearmax-3":
         n = p["n"]

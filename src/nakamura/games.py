@@ -12,7 +12,8 @@ Three representations are supported:
   is total.
 
 No floating point is ever used in a winning/losing decision; all weight
-arithmetic is done in ``fractions.Fraction`` or plain integers.
+arithmetic is done in ``fractions.Fraction`` or plain integers, and the
+2^n-coalition table of a game known only by its antichain is one integer.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from functools import cached_property
 from math import comb, gcd, lcm, prod
 from operator import ge, mul, sub
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 MAX_PLAYERS = 64
 
@@ -172,16 +171,6 @@ class WeightedRep:
     def view(self) -> "ClassView":
         """The game's ``ClassView``, built on first use."""
         return class_view(self)
-
-    def weight_of(self, mask: int) -> Fraction:
-        w = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                w += self.weights[i]
-            mask >>= 1
-            i += 1
-        return w
 
 
 def weight_groups(rep: WeightedRep) -> list[list[int]]:
@@ -450,23 +439,6 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
 # dual antichain and flags
 
 
-def dense_winning_table(game: SimpleGame) -> np.ndarray:
-    """Boolean table of all 2^n coalition values (n <= DENSE_TABLE_CAP)."""
-    if game.n > DENSE_TABLE_CAP:
-        raise CapacityError(
-            f"dense table needs n <= {DENSE_TABLE_CAP}, got {game.n}"
-        )
-    size = 1 << game.n
-    win = np.zeros(size, dtype=bool)
-    win[list(game.min_winning)] = True
-    idx = np.arange(size)
-    for i in range(game.n):
-        bit = 1 << i
-        has = (idx & bit) != 0
-        win[has] |= win[idx[has] ^ bit]
-    return win
-
-
 def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
     """The antichain of inclusion-maximal losing coalitions.
 
@@ -479,14 +451,36 @@ def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
 
 
 def _dense_maximal_losing(n: int, min_winning) -> list[int]:
-    win = dense_winning_table(SimpleGame(n, min_winning))
-    idx = np.arange(1 << n)
-    ok = ~win
-    for i in range(n):
-        bit = 1 << i
-        absent = (idx & bit) == 0
-        ok[absent] &= win[idx[absent] | bit]
-    return [int(m) for m in np.nonzero(ok)[0]]
+    """Maximal losing masks, ascending, from a table of all 2^n coalitions:
+    one 2^n-bit integer whose bit ``m`` is set iff coalition ``m`` wins."""
+    if n > DENSE_TABLE_CAP:
+        raise CapacityError(f"dense table needs n <= {DENSE_TABLE_CAP}, got {n}")
+    table = bytearray((1 << n >> 3) or 1)
+    for m in min_winning:
+        table[m >> 3] |= 1 << (m & 7)
+    win = int.from_bytes(table, "little")
+    for shift, without in _player_free_masks(n):  # up-close
+        win |= (win & without) << shift
+    # losing, and winning as soon as any absent player joins
+    ok = (1 << (1 << n)) - 1 & ~win
+    for shift, without in _player_free_masks(n):
+        ok &= ~without | win >> shift
+    data = ok.to_bytes(len(table), "little")
+    out = []
+    for k in itertools.compress(range(len(data)), data):
+        out.extend(8 * k + b for b in range(8) if data[k] >> b & 1)
+    return out
+
+
+def _player_free_masks(n: int):
+    """``(2^i, M_i)`` for i = n-1, ..., 0: bit ``m`` of ``M_i`` is set iff
+    coalition ``m`` lacks player ``i``; each halves the period of the last."""
+    shift = 1 << n >> 1
+    without = (1 << shift) - 1
+    while shift:
+        yield shift, without
+        shift >>= 1
+        without ^= without << shift
 
 
 class StructureFlags(NamedTuple):

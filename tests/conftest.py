@@ -2,9 +2,9 @@
 
 The oracles deliberately avoid the library's own fast paths: winning tests
 scan the antichain directly, dual antichains and desirability come from
-full 2^n sweeps, the Nakamura oracle enumerates coalition subsets, and the
-weightedness oracle checks its certificates on the whole count-vector
-lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
+full 2^n sweeps (one of them over a numpy table of all 2^n coalitions), the
+Nakamura oracle enumerates coalition subsets, and the weightedness oracle
+checks its certificates on the whole count-vector lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
 with no integer scaling.
 """
 
@@ -14,12 +14,19 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from nakamura import lp
 from nakamura.bounds import _critical_lp
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
-from nakamura.games import SimpleGame, WeightedRep, game_from_weighted
+from nakamura.games import (
+    DENSE_TABLE_CAP,
+    CapacityError,
+    SimpleGame,
+    WeightedRep,
+    game_from_weighted,
+)
 
 
 def oracle_is_winning(game: SimpleGame, mask: int) -> bool:
@@ -38,6 +45,51 @@ def oracle_maximal_losing(game: SimpleGame):
         ):
             out.append(mask)
     return sorted(out)
+
+
+def dense_winning_table(game: SimpleGame) -> np.ndarray:
+    """Boolean table of all 2^n coalition values (n <= DENSE_TABLE_CAP)."""
+    if game.n > DENSE_TABLE_CAP:
+        raise CapacityError(
+            f"dense table needs n <= {DENSE_TABLE_CAP}, got {game.n}"
+        )
+    size = 1 << game.n
+    win = np.zeros(size, dtype=bool)
+    win[list(game.min_winning)] = True
+    idx = np.arange(size)
+    for i in range(game.n):
+        bit = 1 << i
+        has = (idx & bit) != 0
+        win[has] |= win[idx[has] ^ bit]
+    return win
+
+
+def oracle_dense_maximal_losing(game: SimpleGame) -> list[int]:
+    """Maximal losing masks, ascending, read off the numpy table."""
+    win = dense_winning_table(game)
+    idx = np.arange(1 << game.n)
+    ok = ~win
+    for i in range(game.n):
+        bit = 1 << i
+        absent = (idx & bit) == 0
+        ok[absent] &= win[idx[absent] | bit]
+    return [int(m) for m in np.nonzero(ok)[0]]
+
+
+def game_from_table(n: int, win: np.ndarray):
+    """The game whose winning coalitions are the true entries of an
+    up-closed 2^n table, or None if the empty coalition wins or the grand
+    coalition loses."""
+    idx = np.arange(1 << n)
+    minimal = win.copy()
+    for i in range(n):
+        bit = 1 << i
+        has = (idx & bit) != 0
+        minimal[has] &= ~win[idx[has] ^ bit]
+    masks = [int(m) for m in np.nonzero(minimal)[0] if m]
+    if not masks or win[0] or not win[(1 << n) - 1]:
+        return None
+    return SimpleGame(n, tuple(masks))
 
 
 def oracle_minimal_winning(rep: WeightedRep):

@@ -33,7 +33,11 @@ import random
 import time
 from math import ceil
 
-from conftest import oracle_r1_certificate
+from conftest import (
+    dense_winning_table,
+    game_from_table,
+    oracle_r1_certificate,
+)
 from nakamura.bounds import (
     cardinality_bounds,
     greedy_upper,
@@ -68,7 +72,6 @@ from nakamura.games import (
     canonical_vector_form,
     classify_players,
     complete_from_parameters,
-    dense_winning_table,
     expand_complete,
     game_from_weighted,
     structure_flags,
@@ -400,21 +403,6 @@ def test_10_near_maximum_classification():
     report(f"10 near-maximum classification n<=5: PASS ({elapsed:.2f}s)")
 
 
-def _minimal_from_table(n, win):
-    import numpy as np
-
-    idx = np.arange(1 << n)
-    minimal = win.copy()
-    for i in range(n):
-        bit = 1 << i
-        has = (idx & bit) != 0
-        minimal[has] &= ~win[idx[has] ^ bit]
-    masks = [int(m) for m in np.nonzero(minimal)[0] if m]
-    if not masks or win[0] or not win[(1 << n) - 1]:
-        return None
-    return SimpleGame(n, tuple(masks))
-
-
 def test_11_structural_properties(weighted_corpus):
     start = time.monotonic()
     # properness characterization and the constant-sum value
@@ -459,8 +447,8 @@ def test_11_structural_properties(weighted_corpus):
         w2 = dense_winning_table(g2)
         v1 = nakamura_exact(g1).value
         v2 = nakamura_exact(g2).value
-        inter = _minimal_from_table(n, w1 & w2)
-        union = _minimal_from_table(n, w1 | w2)
+        inter = game_from_table(n, w1 & w2)
+        union = game_from_table(n, w1 | w2)
         if inter is not None:
             vi = nakamura_exact(inter).value
             if vi is not None:

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from nakamura.cli import main
+from nakamura.gamefiles import parse_game
+from nakamura.games import CapacityError, maximal_losing
 
 EX2 = "weighted\nquota: 90\nweights: 9 9 9 9 9 9 9 9 9 9 2 2 2 2 1 1\n"
 VETO = "weighted\nquota: 3\nweights: 2 1 1\n"
@@ -200,9 +202,19 @@ def test_family_padding(capsys):
     assert "# ceiling attained: True" in out
 
 
-def test_family_bad_params_exit_code(capsys):
-    assert main(["family", "nearmax-5", "--n", "4", "--k", "3"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nearmax-5", "--n", "4", "--k", "3"], "2 <= k <= n - 2"),
+        (["nearmax-1"], "family nearmax-1 needs --n"),
+        (["circle", "--n", "8"], "family circle needs --t"),
+        (["replica", "--weights", "2,1", "--qbar", "1/0", "--r", "3"], "--qbar"),
+    ],
+    ids=["k-out-of-range", "missing-n", "missing-t", "qbar-over-zero"],
+)
+def test_family_bad_params_exit_code(capsys, argv, message):
+    assert main(["family", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_csp_check(tmp_path, capsys):
@@ -254,6 +266,17 @@ def test_capacity_exit_code(tmp_path, capsys):
     path = write(tmp_path, "big.game", text)
     assert main(["analyze", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_dense_table_capacity_exit_code(tmp_path, capsys):
+    # a 25-player game given only by its antichain needs the dense table
+    lines = ["1 2 3", "4 5 6", " ".join(map(str, range(7, 26)))]
+    text = "simple\nplayers: 25\n" + "\n".join(lines) + "\n"
+    with pytest.raises(CapacityError, match="dense table needs n <= 24"):
+        maximal_losing(parse_game(text))
+    path = write(tmp_path, "wide.game", text)
+    assert main(["analyze", path]) == 3
+    assert "dense table needs n <= 24" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

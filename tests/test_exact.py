@@ -1,15 +1,20 @@
 import ast
 import itertools
 import random
+import sys
 from math import ceil
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nakamura
-from conftest import oracle_nakamura, random_vetoer_free
+from conftest import (
+    dense_winning_table,
+    game_from_table,
+    oracle_nakamura,
+    random_vetoer_free,
+)
 from nakamura.exact import (
     nakamura_by_vectors,
     nakamura_complete,
@@ -25,7 +30,6 @@ from nakamura.games import (
     WeightedRep,
     classify_players,
     complete_from_parameters,
-    dense_winning_table,
     expand_complete,
     game_from_weighted,
     mask_from_players,
@@ -207,19 +211,6 @@ def test_properness_characterization(weighted_corpus):
 # intersections and unions
 
 
-def _game_from_table(n, win):
-    idx = np.arange(1 << n)
-    minimal = win.copy()
-    for i in range(n):
-        bit = 1 << i
-        has = (idx & bit) != 0
-        minimal[has] &= ~win[idx[has] ^ bit]
-    masks = [int(m) for m in np.nonzero(minimal)[0] if m]
-    if not masks or not win[(1 << n) - 1] or win[0]:
-        return None
-    return SimpleGame(n, tuple(masks))
-
-
 def test_intersection_union_monotonicity():
     rng = random.Random(47)
     pairs = 0
@@ -231,8 +222,8 @@ def test_intersection_union_monotonicity():
             continue
         w1 = dense_winning_table(g1)
         w2 = dense_winning_table(g2)
-        inter = _game_from_table(n, w1 & w2)
-        union = _game_from_table(n, w1 | w2)
+        inter = game_from_table(n, w1 & w2)
+        union = game_from_table(n, w1 | w2)
         v1 = nakamura_exact(g1).value
         v2 = nakamura_exact(g2).value
         if inter is not None:
@@ -388,6 +379,26 @@ def test_decision_modules_divide_in_integers_only():
             if isinstance(getattr(node, "op", None), ast.Div)
         ]
         assert not divs, f"{name}: true division on lines {lines}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on the standard library alone; numpy, scipy and the
+    # other test dependencies stay in the tests
+    root = Path(nakamura.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.append(node.module)
+        foreign = [
+            name
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names | {"nakamura"}
+        ]
+        assert not foreign, f"{path.name}: imports {foreign}"
 
 
 def test_provenance_read_only_by_class_view():

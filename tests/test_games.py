@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    oracle_dense_maximal_losing,
     oracle_geq,
     oracle_is_winning,
     oracle_maximal_losing,
@@ -175,6 +176,29 @@ def test_maximal_losing_routes_agree():
         generic = SimpleGame(game.n, game.min_winning)  # drop provenance
         assert maximal_losing(game) == maximal_losing(generic)
         assert sorted(maximal_losing(game)) == oracle_maximal_losing(game)
+
+
+def test_dense_maximal_losing_matches_numpy_table():
+    # a game given only by its antichain gets its maximal losing coalitions
+    # from one 2^n-bit integer; the view lists them ascending, as the numpy
+    # table does, which fixes the order of the critical-LP rows
+    rng = random.Random(29)
+    games = [random_simple_game(rng, n_max=16) for _ in range(400)]
+    for _ in range(60):
+        rep = random_rep(rng, n_max=12)
+        games.append(SimpleGame(rep.n, game_from_weighted(rep).min_winning))
+    for n in (18, 19, 20):
+        game = random_simple_game(rng, n_max=n)
+        while game.n != n:
+            game = random_simple_game(rng, n_max=n)
+        games.append(game)
+    for game in games:
+        expected = oracle_dense_maximal_losing(game)
+        bits = range(game.n)
+        assert game.view.losing == tuple(
+            tuple(m >> p & 1 for p in bits) for m in expected
+        )
+        assert sorted(maximal_losing(game)) == expected
 
 
 def test_duality_consistency():
