@@ -88,6 +88,7 @@ GOLDEN_RUNS = [
     ("cover11", "nakamura"),  # weighted, cover solver
     ("prefix14", "nakamura"),  # complete, prefix covering program
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
+    ("wide18", "nakamura"),  # weighted, 3,103 coalitions: vectors
 ]
 GOLDEN_ARGS = {"analyze": ("--json", "json"), "nakamura": ("--witness", "txt")}
 
