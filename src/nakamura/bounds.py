@@ -124,7 +124,7 @@ def cardinality_bounds(game: SimpleGame) -> BoundsReport:
     see the module docstring for why it is heuristic.
     """
     n = game.n
-    sizes = [w.bit_count() for w in game.min_winning]
+    sizes = [sum(v) for v in game.view.winning]
     m, big = min(sizes), max(sizes)
     lower = _ceil_frac(n, n - m)
     upper = 1 + ceil(Fraction(m, n - big)) if big < n else None
@@ -222,7 +222,8 @@ def lp_lower_bound(game: SimpleGame) -> Optional[int]:
     Cheap means the game's view has equal-weight groups (class-reduced LP)
     or the game has a small antichain.
     """
-    if game.view.source != "weights" and len(game.min_winning) > 300:
+    view = game.view
+    if view.source != "weights" and view.coalition_count(view.winning) > 300:
         return None
     return max_quota_lp(game).nak_lower_bound
 
@@ -265,10 +266,10 @@ def critical_rough_representation(
     if view.source == "classes":
         alpha, x = _critical_lp(len(view.sizes), view.winning, view.losing)
         return alpha, view.per_player(x)
-    losing = view.coalition_count(view.losing)
-    if len(game.min_winning) + losing > _ALPHA_ROW_CAP:
+    winning, losing = map(view.coalition_count, (view.winning, view.losing))
+    if winning + losing > _ALPHA_ROW_CAP:
         raise CapacityError(
-            f"critical-threshold LP over {len(game.min_winning)} + "
+            f"critical-threshold LP over {winning} + "
             f"{losing} antichain rows exceeds {_ALPHA_ROW_CAP}"
         )
 

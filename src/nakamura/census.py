@@ -77,7 +77,8 @@ def enumerate_r1(
         if idx % shards != shard:
             continue
         for row in _rows_r1(sizes):
-            yield CompleteGame(sizes, (row,))
+            # _rows_r1 meets (i) and (iii); (ii) and (iv) need two rows
+            yield CompleteGame._trusted(sizes, (row,))
 
 
 def count_r1(n: int) -> int:

@@ -62,51 +62,51 @@ def _load(path: str):
 
 
 def _as_game(obj):
-    """(game, input_kind) for any parsed record."""
+    """(game, input_kind, record); a csp input's record is its weighted game."""
     if isinstance(obj, WeightedRep):
-        return game_from_weighted(obj), "weighted"
+        return game_from_weighted(obj), "weighted", obj
     if isinstance(obj, SimpleGame):
-        return obj, "simple"
+        return obj, "simple", obj
     if isinstance(obj, CompleteGame):
-        return expand_complete(obj), "complete"
+        return expand_complete(obj), "complete", obj
     if isinstance(obj, cutting.CspInstance):
-        return game_from_weighted(cutting.game_from_instance(obj)), "csp"
+        rep = cutting.game_from_instance(obj)
+        return game_from_weighted(rep), "csp", rep
     raise InvalidGameError(f"unsupported record {type(obj).__name__}")
 
 
-def _input_echo(kind, game) -> dict:
-    rep, complete = game.rep, game.complete
-    if rep is not None:
+def _input_echo(kind, record) -> dict:
+    if isinstance(record, WeightedRep):
         return {
             "kind": kind,
-            "quota": _fmt(rep.quota),
-            "weights": [_fmt(w) for w in rep.weights],
-            "integral_input": rep.integral_input,
+            "quota": _fmt(record.quota),
+            "weights": [_fmt(w) for w in record.weights],
+            "integral_input": record.integral_input,
         }
-    if complete is not None:
+    if isinstance(record, CompleteGame):
         return {
             "kind": kind,
-            "classes": list(complete.class_sizes),
-            "rows": [list(r) for r in complete.shift_min],
+            "classes": list(record.class_sizes),
+            "rows": [list(r) for r in record.shift_min],
         }
-    return {"kind": kind, "players": game.n}
+    return {"kind": kind, "players": record.n}
 
 
-def _nakamura_result(game):
-    if game.complete is not None:
-        return nakamura_complete(game.complete)
+def _nakamura_result(game, record):
+    if isinstance(record, CompleteGame):
+        # the closed form and the prefix program never read the antichain
+        return nakamura_complete(record)
     return nakamura_exact(game)
 
 
-def _bounds_list(game, lpo) -> list[dict]:
+def _bounds_list(game, record, lpo) -> list[dict]:
     out = []
-    rep = game.rep
-    if rep is not None:
-        wb = bounds_mod.weighted_bounds(rep)
+    if isinstance(record, WeightedRep):
+        wb = bounds_mod.weighted_bounds(record)
         out.append(
             {"method": wb.method, "lower": _fmt(wb.lower), "upper": _fmt(wb.upper)}
         )
-        out.append({"method": "greedy", "upper": _fmt(bounds_mod.greedy_upper(rep))})
+        out.append({"method": "greedy", "upper": _fmt(bounds_mod.greedy_upper(record))})
     cb = bounds_mod.cardinality_bounds(game)
     out.append(
         {
@@ -153,20 +153,21 @@ def _check_report(value, witness, game, bounds_list) -> None:
 
 
 def build_analysis(obj) -> dict:
-    game, kind = _as_game(obj)
+    game, kind, record = _as_game(obj)
     cls = classify_players(game)
     flags = structure_flags(game)
     classes, is_complete = desirability_classes(game)
-    result = _nakamura_result(game)
+    result = _nakamura_result(game, record)
     lpo = bounds_mod.max_quota_lp(game)
-    blist = _bounds_list(game, lpo)
+    blist = _bounds_list(game, record, lpo)
     _check_report(result.value, result.witness, game, blist)
+    count = game.view.coalition_count(game.view.winning)
     report = {
         "schema": SCHEMA,
-        "input": _input_echo(kind, game),
+        "input": _input_echo(kind, record),
         "game": {
             "players": game.n,
-            "min_winning_count": len(game.min_winning),
+            "min_winning_count": count,
         },
         "classification": {
             "vetoers": list(players_from_mask(cls.vetoers)),
@@ -194,7 +195,7 @@ def build_analysis(obj) -> dict:
             "weights": [_fmt(w) for w in lpo.weights],
         },
     }
-    if len(game.min_winning) <= _ECHO_CAP:
+    if count <= _ECHO_CAP:
         report["game"]["min_winning"] = _coalitions(game.min_winning)
     return report
 
@@ -253,8 +254,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    game, _ = _as_game(_load(args.file))
-    rows = _bounds_list(game, bounds_mod.max_quota_lp(game))
+    game, _, record = _as_game(_load(args.file))
+    rows = _bounds_list(game, record, bounds_mod.max_quota_lp(game))
     print(f"{'method':<16}{'lower':>8}{'upper':>8}")
     for b in rows:
         lo = b.get("lower", "-")
@@ -265,12 +266,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_nakamura(args) -> int:
-    obj = _load(args.file)
-    if isinstance(obj, CompleteGame):
-        # the closed form and the prefix program never read the antichain
-        result = nakamura_complete(obj)
-    else:
-        result = nakamura_exact(_as_game(obj)[0])
+    game, _, record = _as_game(_load(args.file))
+    result = _nakamura_result(game, record)
     print(_fmt(result.value))
     if args.witness and result.witness:
         for mask in result.witness:
@@ -362,8 +359,7 @@ def cmd_csp_check(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, cutting.CspInstance):
         raise InvalidGameError("csp-check expects a csp record")
-    rep = cutting.game_from_instance(obj)
-    game = game_from_weighted(rep)
+    game, _, rep = _as_game(obj)
     result = nakamura_exact(game)
     gpats = cutting.patterns_from_game(game)
     probe = cutting.conjecture_roundup_probe(game, obj)
@@ -398,7 +394,7 @@ def cmd_csp_check(args) -> int:
 def cmd_maxnak(args) -> int:
     res = families.max_nakamura(args.n, args.t, args.klass, mode=args.mode)
     kind = "exact maximum" if res.exact else "construction lower bound"
-    print(f"{_fmt(res.value)} ({kind})")
+    print(f"{'none' if res.value is None else res.value} ({kind})")
     if res.family:
         print(f"family: {res.family}")
     if isinstance(res.witness, (WeightedRep, SimpleGame, CompleteGame)):
@@ -418,11 +414,8 @@ def cmd_conjectures(args) -> int:
         print(json.dumps(probes, indent=2))
         return 0
     obj = _load(target)
-    if isinstance(obj, cutting.CspInstance):
-        rep = cutting.game_from_instance(obj)
-        probe = cutting.conjecture_roundup_probe(game_from_weighted(rep), obj)
-    else:
-        probe = cutting.conjecture_roundup_probe(_as_game(obj)[0])
+    instance = obj if isinstance(obj, cutting.CspInstance) else None
+    probe = cutting.conjecture_roundup_probe(_as_game(obj)[0], instance)
     def show(v):
         if isinstance(v, bool):
             return v

@@ -95,7 +95,7 @@ def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     """
     if game.vetoer_mask():
         return INFINITE_RESULT
-    if len(game.min_winning) > _COVER_SET_CAP:
+    if game.view.coalition_count(game.view.winning) > _COVER_SET_CAP:
         return nakamura_by_vectors(vector_instance(game))
 
     complements = [game.grand & ~w for w in game.min_winning]

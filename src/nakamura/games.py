@@ -19,17 +19,17 @@ arithmetic is done in ``fractions.Fraction`` or plain integers, and the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, gcd, lcm, prod
-from operator import ge, mul, sub
+from operator import and_, eq, ge, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 MAX_PLAYERS = 64
 
-# Largest n for which dual antichains of a generic simple game (no weighted
-# or complete provenance) are computed via a dense 2^n table.
+# Largest n for which dual antichains of a game given only by its antichain
+# (one block per player) are computed via a dense 2^n table.
 DENSE_TABLE_CAP = 24
 
 # Guard for expanding a complete game's vector lattice.
@@ -234,60 +234,72 @@ def _minimal_counts(
 # simple games
 
 
-@dataclass(frozen=True)
 class SimpleGame:
-    """A simple game given by its antichain of minimal winning coalitions.
+    """A simple game and its antichain of minimal winning coalitions.
 
-    ``min_winning`` is kept in canonical order (lexicographic by player
-    tuple).  ``rep`` / ``complete`` record provenance when the game was built
-    from a weighted representation or a complete-game parameterization.
-    Outside the CLI they are read only by ``class_view``, whose result
-    ``view`` is cached on the game, and they never change results.
+    ``SimpleGame(n, min_winning)`` keeps the antichain in canonical order
+    (lexicographic by player tuple) and views it with one block per player.
+    ``game_from_weighted`` and ``expand_complete`` build a game on the view
+    of its source and expand ``min_winning`` from it on first read.
     """
 
-    n: int
-    min_winning: tuple[int, ...]
-    rep: Optional[WeightedRep] = field(default=None, compare=False, repr=False)
-    complete: Optional["CompleteGame"] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise CapacityError(f"player count {self.n} outside 1..{MAX_PLAYERS}")
-        if not self.min_winning:
+    def __init__(self, n: int, min_winning: Sequence[int]):
+        if not 1 <= n <= MAX_PLAYERS:
+            raise CapacityError(f"player count {n} outside 1..{MAX_PLAYERS}")
+        if not min_winning:
             raise InvalidGameError("at least one minimal winning coalition required")
-        full = (1 << self.n) - 1
-        for m in self.min_winning:
+        full = (1 << n) - 1
+        for m in min_winning:
             if m == 0:
                 raise InvalidGameError("the empty coalition cannot be winning")
             if m & ~full:
                 raise InvalidGameError("coalition uses players beyond n")
-        object.__setattr__(self, "min_winning", sort_coalitions(self.min_winning))
+        self.n, self.min_winning = n, sort_coalitions(min_winning)
 
     @property
     def grand(self) -> int:
         return (1 << self.n) - 1
+
+    @classmethod
+    def _on_view(cls, n: int, view: "ClassView") -> "SimpleGame":
+        game = cls.__new__(cls)
+        game.n, game.view = n, view
+        return game
+
+    @cached_property
+    def min_winning(self) -> tuple[int, ...]:
+        view = self.view
+        return sort_coalitions(masks_with_vectors(view.blocks, view.winning))
 
     @cached_property
     def view(self) -> "ClassView":
         """The game's ``ClassView``, built on first use."""
         return class_view(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.min_winning) == (other.n, other.min_winning)
+
+    def __hash__(self):
+        return hash((self.n, self.min_winning))
+
+    def __repr__(self):
+        return f"SimpleGame(n={self.n!r}, min_winning={self.min_winning!r})"
+
     def is_winning(self, mask: int) -> bool:
         return self.view.wins(self.view.vector(mask))
 
     def vetoer_mask(self) -> int:
-        mask = self.grand
-        for w in self.min_winning:
-            mask &= w
-        return mask
+        view = self.view
+        if view.source == "players":  # faster on the antichain's own masks
+            return reduce(and_, self.min_winning, self.grand)
+        full = map(eq, map(min, zip(*view.winning)), view.sizes)
+        return sum(itertools.compress(view.block_masks, full))
 
     def null_mask(self) -> int:
-        mask = 0
-        for w in self.min_winning:
-            mask |= w
-        return self.grand & ~mask
+        empty = (not any(column) for column in zip(*self.view.winning))
+        return sum(itertools.compress(self.view.block_masks, empty))
 
 
 def simple_game(n: int, coalitions, *, validate: bool = True) -> SimpleGame:
@@ -315,15 +327,12 @@ def simple_game(n: int, coalitions, *, validate: bool = True) -> SimpleGame:
 
 
 def game_from_weighted(rep: WeightedRep) -> SimpleGame:
-    """The simple game of ``[q; w]``: the expansion of ``rep.view``.
+    """The simple game of ``[q; w]``, built on ``rep.view``.
 
-    Its minimal winning coalitions are all coalitions whose count vector
-    over the equal-weight groups is a minimal winning vector of the view.
+    Its minimal winning coalitions, expanded on first read, are those whose
+    count vector over the equal-weight groups is a minimal winning vector.
     """
-    view = rep.view
-    return SimpleGame(
-        rep.n, tuple(masks_with_vectors(view.blocks, view.winning)), rep=rep
-    )
+    return SimpleGame._on_view(rep.n, rep.view)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +350,17 @@ class PlayerClassification:
 
 
 def classify_players(game: SimpleGame) -> PlayerClassification:
-    """Classify players from the minimal winning antichain.
+    """Classify players from the minimal winning vectors of ``game.view``.
 
     A vetoer sits in every minimal winning coalition, a null in none; a
-    passer's singleton is itself minimal winning, and a dictator's singleton
-    is the only minimal winning coalition.
+    passer's singleton (a unit vector) is itself minimal winning, and a
+    dictator's singleton is the only minimal winning coalition.
     """
-    vetoers = game.vetoer_mask()
-    nulls = game.null_mask()
-    passers = 0
-    for w in game.min_winning:
-        if w.bit_count() == 1:
-            passers |= w
-    dictator = None
-    if len(game.min_winning) == 1 and game.min_winning[0].bit_count() == 1:
-        dictator = players_from_mask(game.min_winning[0])[0]
-    return PlayerClassification(vetoers, nulls, passers, dictator)
+    view = game.view
+    passers = sum(view.block_masks[v.index(1)] for v in view.winning if sum(v) == 1)
+    alone = len(view.winning) == 1 and passers.bit_count() == 1
+    dictator = passers.bit_length() if alone else None
+    return PlayerClassification(game.vetoer_mask(), game.null_mask(), passers, dictator)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +577,13 @@ class CompleteGame:
         """The game's ``ClassView``, built on first use."""
         return class_view(self)
 
+    @classmethod
+    def _trusted(cls, class_sizes, shift_min) -> "CompleteGame":
+        """Int tuples already known to meet (i)-(iv): no check runs."""
+        game = cls.__new__(cls)
+        game.__dict__.update(class_sizes=class_sizes, shift_min=shift_min)
+        return game
+
     def wins(self, c: Sequence[int]) -> bool:
         """Whether count vector ``c`` wins: some shift-minimal row precedes
         it in prefix dominance."""
@@ -746,19 +757,15 @@ def masks_with_vectors(blocks, vectors) -> list[int]:
 
 
 def expand_complete(g: CompleteGame) -> SimpleGame:
-    """The simple game on ``sum(class_sizes)`` players: the expansion of
-    ``g.view``.
+    """The simple game on ``sum(class_sizes)`` players, built on ``g.view``.
 
     Players are numbered class by class, strongest class first.  The minimal
-    winning coalitions are all coalitions whose count vector is a minimal
-    winning vector of the view.
+    winning coalitions, expanded on first read, are all coalitions whose
+    count vector is a minimal winning vector of the view.
     """
     if g.n > MAX_PLAYERS:
         raise CapacityError(f"{g.n} players exceed the capacity of {MAX_PLAYERS}")
-    view = g.view
-    return SimpleGame(
-        g.n, tuple(masks_with_vectors(view.blocks, view.winning)), complete=g
-    )
+    return SimpleGame._on_view(g.n, g.view)
 
 
 def vector_of_mask(mask: int, classes: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -848,12 +855,12 @@ class ClassView:
         return tuple(self._losing())
 
     @cached_property
-    def _block_masks(self) -> tuple[int, ...]:
+    def block_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << p for p in b) for b in self.blocks)
 
     def vector(self, mask: int) -> tuple[int, ...]:
         """Count vector of a coalition mask."""
-        return tuple((mask & b).bit_count() for b in self._block_masks)
+        return tuple((mask & b).bit_count() for b in self.block_masks)
 
     def coalition_count(self, vectors) -> int:
         """How many coalitions realize the given count vectors."""
@@ -870,14 +877,14 @@ class ClassView:
 
 def class_view(game) -> ClassView:
     """The class view of a ``WeightedRep``, a ``CompleteGame`` or a
-    ``SimpleGame``.
+    ``SimpleGame`` given by its antichain.
 
-    This is the one place that reads a game's provenance: a ``SimpleGame``
-    built from a weighted or complete game returns its source's view.  The
-    blocks are the ones each kind of game has without any search:
+    The blocks are the ones each kind of game has without any search:
     equal-weight groups of a weighted representation (heaviest first), the
     classes of a complete game with vectors in lattice order, or one block
-    per player with incidence rows in ``min_winning`` order.
+    per player with incidence rows in ``min_winning`` order.  A game built
+    by ``game_from_weighted`` or ``expand_complete`` carries its source's
+    view instead.
     """
     if isinstance(game, CompleteGame):
         return ClassView(
@@ -904,9 +911,6 @@ def class_view(game) -> ClassView:
                 for d in _minimal_counts(values, sizes, dual_quota)
             ],
         )
-    source = game.complete or game.rep
-    if source is not None:
-        return source.view
     # the closures below hold the antichain, not the game, so that a game
     # and its cached view form no reference cycle
     n, min_winning = game.n, game.min_winning

@@ -12,20 +12,23 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from math import ceil
 from typing import Sequence
 
 import numpy as np
 import pytest
 
 from nakamura import lp
-from nakamura.bounds import _critical_lp
+from nakamura.bounds import BoundsReport, _ceil_frac, _critical_lp
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import (
     DENSE_TABLE_CAP,
     CapacityError,
+    PlayerClassification,
     SimpleGame,
     WeightedRep,
     game_from_weighted,
+    players_from_mask,
 )
 
 
@@ -45,6 +48,46 @@ def oracle_maximal_losing(game: SimpleGame):
         ):
             out.append(mask)
     return sorted(out)
+
+
+def oracle_vetoer_mask(game: SimpleGame) -> int:
+    mask = game.grand
+    for w in game.min_winning:
+        mask &= w
+    return mask
+
+
+def oracle_null_mask(game: SimpleGame) -> int:
+    mask = 0
+    for w in game.min_winning:
+        mask |= w
+    return game.grand & ~mask
+
+
+def oracle_classify_players(game: SimpleGame) -> PlayerClassification:
+    """Vetoers, nulls, passers and the dictator, read off the antichain."""
+    vetoers = oracle_vetoer_mask(game)
+    nulls = oracle_null_mask(game)
+    passers = 0
+    for w in game.min_winning:
+        if w.bit_count() == 1:
+            passers |= w
+    dictator = None
+    if len(game.min_winning) == 1 and game.min_winning[0].bit_count() == 1:
+        dictator = players_from_mask(game.min_winning[0])[0]
+    return PlayerClassification(vetoers, nulls, passers, dictator)
+
+
+def oracle_cardinality_bounds(game: SimpleGame) -> BoundsReport:
+    """Cardinality ceilings from the bit counts of the antichain."""
+    n = game.n
+    sizes = [w.bit_count() for w in game.min_winning]
+    m, big = min(sizes), max(sizes)
+    lower = _ceil_frac(n, n - m)
+    upper = 1 + ceil(Fraction(m, n - big)) if big < n else None
+    return BoundsReport(
+        "cardinality", lower, upper, vetoer=oracle_vetoer_mask(game) != 0
+    )
 
 
 def dense_winning_table(game: SimpleGame) -> np.ndarray:
@@ -380,11 +423,21 @@ def random_rep(rng: random.Random, n_max: int = 10, w_max: int = 9) -> WeightedR
 
 def random_simple_game(rng: random.Random, n_max: int = 8) -> SimpleGame:
     """A game given only by its antichain: the inclusion-minimal members of
-    a few random coalitions, with no weighted or complete provenance."""
+    a few random coalitions, viewed with one block per player."""
     n = rng.randint(2, n_max)
     masks = rng.sample(range(1, 1 << n), rng.randint(1, min(6, (1 << n) - 1)))
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
     return SimpleGame(n, tuple(minimal))
+
+
+def random_rational_rep(rng: random.Random, n_max: int = 10) -> WeightedRep:
+    """Weights and quota with small random denominators, zeros included."""
+    n = rng.randint(2, n_max)
+    ws = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
+    if not any(ws):
+        ws[0] = Fraction(1, 3)
+    total = sum(ws)
+    return WeightedRep(total * Fraction(rng.randint(1, 12), 12), ws)
 
 
 def random_vetoer_free(rng: random.Random, n_max: int = 10, w_max: int = 9):

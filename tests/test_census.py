@@ -19,12 +19,14 @@ from nakamura.census import (
 from nakamura.exact import nakamura_complete, nakamura_exact
 from nakamura.games import (
     CapacityError,
+    complete_from_parameters,
     expand_complete,
     maximal_losing_vectors,
     minimal_winning_vectors,
     prefix_sums,
     shift_leq,
     shift_maximal_losing_vectors,
+    validate_complete_parameters,
     vector_is_winning,
 )
 
@@ -48,6 +50,14 @@ def columns(row, n):
 def test_enumerate_counts_match_direct_formula():
     for n in range(1, 11):
         assert sum(1 for _ in enumerate_r1(n)) == count_r1(n)
+
+
+def test_enumerate_r1_games_are_valid():
+    # enumerate_r1 builds its games without re-checking the parameters
+    for n in range(1, 11):
+        for g in enumerate_r1(n):
+            assert validate_complete_parameters(g.class_sizes, g.shift_min) == []
+            assert g == complete_from_parameters(g.class_sizes, g.shift_min)
 
 
 def test_enumeration_order_deterministic():

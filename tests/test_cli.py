@@ -1,8 +1,10 @@
 import json
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
+from nakamura import games
 from nakamura.cli import main
 from nakamura.gamefiles import parse_game
 from nakamura.games import CapacityError, maximal_losing
@@ -234,6 +236,61 @@ def test_maxnak(capsys):
     code, out = run(capsys, "maxnak", "5", "2", "T")
     assert code == 0
     assert out.startswith("4 (exact maximum)")
+
+
+@pytest.mark.parametrize(
+    "args,kind",
+    [
+        # no catalog construction for t = 5
+        pytest.param("7 5 T", "construction lower bound", id="7-5-T"),
+        pytest.param("7 5 C", "construction lower bound", id="7-5-C"),
+        # every game has a vetoer
+        pytest.param("3 3 S", "exact maximum", id="3-3-S"),
+        pytest.param("4 4 C", "exact maximum", id="4-4-C"),
+        pytest.param("4 4 T", "exact maximum", id="4-4-T"),
+    ],
+)
+def test_maxnak_no_game_prints_none(args, kind, capsys):
+    code, out = run(capsys, "maxnak", *args.split())
+    assert code == 0
+    assert out == f"none ({kind})\n"
+
+
+# 30 players, four distinct weights: 51,134,417 minimal winning coalitions
+# over 144 minimal winning vectors
+THIRTY = "weighted\nquota: 40\nweights: " + " ".join(
+    ["5"] * 6 + ["3"] * 8 + ["2"] * 6 + ["1"] * 10
+) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--json"), ("nakamura", "--witness")], ids=lambda a: a[0]
+)
+def test_thirty_player_game_reads_only_the_view(argv, tmp_path, capsys, monkeypatch):
+    # a weighted game's antichain is expanded only by readers that need its
+    # coalitions, and none does here
+    expand = games.masks_with_vectors
+
+    def capped(blocks, vectors):
+        vectors = list(vectors)
+        count = sum(prod(map(comb, map(len, blocks), v)) for v in vectors)
+        assert count <= 2000, f"expanding {count} coalitions"
+        return expand(blocks, vectors)
+
+    monkeypatch.setattr(games, "masks_with_vectors", capped)
+    path = write(tmp_path, "thirty.game", THIRTY)
+    code, out = run(capsys, argv[0], path, argv[1])
+    assert code == 0
+    if argv[0] == "nakamura":
+        lines = out.splitlines()
+        assert lines[0] == "3" and len(lines) == 4
+        return
+    report = json.loads(out)
+    assert report["nakamura"]["value"] == "3"
+    assert len(report["nakamura"]["witness"]) == 3
+    assert report["game"]["min_winning_count"] == 51134417
+    methods = {b["method"]: b for b in report["bounds"]}
+    assert (methods["weighted"]["lower"], methods["weighted"]["upper"]) == ("3", "3")
 
 
 def test_conjectures_range(capsys):

@@ -400,22 +400,3 @@ def test_runtime_imports_only_the_standard_library():
         ]
         assert not foreign, f"{path.name}: imports {foreign}"
 
-
-def test_provenance_read_only_by_class_view():
-    # a game's rep / complete fields are read by class_view alone; every
-    # other consumer asks the view
-    root = Path(nakamura.__file__).parent
-    for name in ("games.py", "exact.py", "bounds.py"):
-        tree = ast.parse((root / name).read_text(), name)
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "class_view":
-                allowed = set(ast.walk(node))
-        reads = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("rep", "complete")
-            and node not in allowed
-        ]
-        assert not reads, f"{name}: provenance read on lines {reads}"

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    oracle_cardinality_bounds,
+    oracle_classify_players,
     oracle_dense_maximal_losing,
     oracle_geq,
     oracle_is_winning,
     oracle_maximal_losing,
     oracle_minimal_winning,
+    oracle_null_mask,
+    oracle_vetoer_mask,
     random_complete_games,
+    random_rational_rep,
     random_rep,
     random_simple_game,
 )
+from nakamura.bounds import cardinality_bounds
 from nakamura.games import (
     CapacityError,
     CompleteParameterError,
@@ -173,7 +179,7 @@ def test_maximal_losing_complete_route():
 def test_maximal_losing_routes_agree():
     rng = random.Random(11)
     for game in three_kinds(rng, 25, 9):
-        generic = SimpleGame(game.n, game.min_winning)  # drop provenance
+        generic = SimpleGame(game.n, game.min_winning)  # players view
         assert maximal_losing(game) == maximal_losing(generic)
         assert sorted(maximal_losing(game)) == oracle_maximal_losing(game)
 
@@ -241,6 +247,37 @@ def test_classify_dictator():
     assert players_from_mask(cls.passers) == (1,)
 
 
+def test_view_facts_match_antichain_oracles():
+    # vetoers, nulls, passers, the dictator, the cardinality bounds and the
+    # coalition count come from the view; the oracles read the antichain
+    rng = random.Random(43)
+    games = three_kinds(rng, 60, 9)
+    games += [game_from_weighted(random_rational_rep(rng, 9)) for _ in range(60)]
+    games += [
+        game_from_weighted(WeightedRep(2, (2, 1, 0))),  # dictator and a null
+        game_from_weighted(WeightedRep(Fraction(1, 2), (Fraction(1, 2), 1))),
+        expand_complete(complete_from_parameters((1, 2), [(1, 0)])),
+        expand_complete(complete_from_parameters((2, 2), [(1, 0)])),
+        simple_game(3, [[2]]),
+    ]
+    for game in games:
+        view = game.view
+        count = view.coalition_count(view.winning)
+        facts = (
+            game.vetoer_mask(),
+            game.null_mask(),
+            classify_players(game),
+            cardinality_bounds(game),
+        )
+        assert facts == (
+            oracle_vetoer_mask(game),
+            oracle_null_mask(game),
+            oracle_classify_players(game),
+            oracle_cardinality_bounds(game),
+        ), game
+        assert count == len(game.min_winning)
+
+
 # ---------------------------------------------------------------------------
 # desirability
 
@@ -269,7 +306,7 @@ def test_desirability_matches_definition():
     for game in three_kinds(rng, 20, 7):
         geq = [[oracle_geq(game, i, j) for j in range(game.n)] for i in range(game.n)]
         total = all(geq[i][j] or geq[j][i] for i in range(game.n) for j in range(i))
-        # with the provenance kept and stripped
+        # on the game's own view and on the players view of its antichain
         for g in (game, SimpleGame(game.n, game.min_winning)):
             classes, complete = desirability_classes(g)
             # same partition as the full-definition relation
