@@ -32,6 +32,7 @@ from .games import (
 )
 from .exact import (
     NakamuraResult,
+    SolveStats,
     VectorIlpInstance,
     nakamura_by_vectors,
     nakamura_complete,

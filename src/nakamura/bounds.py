@@ -6,7 +6,8 @@ Bound families:
   representation (lower from the given quota, upper from the smallest
   integral representation derived from it).
 * ``greedy_upper`` -- the improved greedy that strips the heaviest still
-  removable players round by round.
+  removable players round by round (``strip_rounds``, whose coalitions
+  ``exact.nakamura_exact`` also takes as an incumbent).
 * ``cardinality_bounds`` -- ceilings using only the minimum/maximum
   cardinality of a minimal winning coalition.  The upper formula is
   implemented exactly as stated even though it can undercut the true value
@@ -36,6 +37,7 @@ from typing import Optional, Sequence
 from . import lp
 from .games import (
     CapacityError,
+    ClassView,
     InvariantError,
     SimpleGame,
     WeightedRep,
@@ -82,8 +84,7 @@ def _ceil_frac(num: Fraction, den: Fraction) -> Optional[int]:
 
 def weighted_bounds(rep: WeightedRep) -> BoundsReport:
     """Quota-based lower and integral-representation upper ceilings."""
-    total = rep.total
-    lower = _ceil_frac(total, total - rep.quota)
+    lower = rep.view.quota_ceiling
     qhat, what = rep.integral()
     shat = sum(what)
     omega_hat = max(what)
@@ -92,28 +93,41 @@ def weighted_bounds(rep: WeightedRep) -> BoundsReport:
 
 
 def greedy_upper(rep: WeightedRep) -> Optional[int]:
-    """Rounds used by the improved greedy; None when it cannot finish.
+    """Rounds used by the improved greedy (``strip_rounds``); None when it
+    cannot finish."""
+    rounds = strip_rounds(rep.view)
+    return None if rounds is None else len(rounds)
+
+
+def strip_rounds(view: ClassView) -> Optional[list[int]]:
+    """The improved greedy's winning coalitions, one per round, on a
+    ``"weights"`` view; None when it cannot finish.
 
     Each round keeps the grand coalition and strips the heaviest players not
-    yet dropped in earlier rounds, as long as the coalition stays winning.
-    The round count is an upper bound on the Nakamura number; with a vetoer
-    no progress is possible and None is returned.
+    yet dropped in earlier rounds (lowest index first among equal weights),
+    as long as the coalition stays winning.  The rounds' coalitions have
+    empty intersection, so their count is an upper bound on the Nakamura
+    number; with a vetoer no progress is possible and None is returned.
+    Players of a block are dropped in block order, so the dropped ones
+    always form a prefix of their block.
     """
-    qhat, what = rep.integral()
-    n = rep.n
-    remaining = set(range(n))
-    rounds = 0
-    while remaining:
-        weight = sum(what)
-        dropped = []
-        for p in sorted(remaining, key=lambda i: (-what[i], i)):
-            if weight - what[p] >= qhat:
-                weight -= what[p]
-                dropped.append(p)
-        if not dropped:
+    quota, weights = view.quota, view.block_weights
+    total = sum(map(mul, weights, view.sizes))
+    dropped = [0] * len(view.blocks)
+    grand = sum(view.block_masks)
+    rounds = []
+    while dropped != list(view.sizes):
+        weight, coalition = total, grand
+        for j, (block, w) in enumerate(zip(view.blocks, weights)):
+            left = len(block) - dropped[j]
+            k = left if w == 0 else min(left, (weight - quota) // w)
+            for p in block[dropped[j] : dropped[j] + k]:
+                coalition &= ~(1 << p)
+            weight -= k * w
+            dropped[j] += k
+        if coalition == grand:
             return None
-        remaining.difference_update(dropped)
-        rounds += 1
+        rounds.append(coalition)
     return rounds
 
 

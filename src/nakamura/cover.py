@@ -43,13 +43,21 @@ def greedy_cover(universe: int, sets: Sequence[int]) -> Optional[list[int]]:
 
 
 def min_cover(
-    universe: int, sets: Sequence[int], *, root_lb: int = 0
+    universe: int,
+    sets: Sequence[int],
+    *,
+    root_lb: int = 0,
+    stats: Optional[dict] = None,
 ) -> Optional[list[int]]:
     """Indices of a minimum-cardinality cover of ``universe``, or None.
 
     ``root_lb`` must be a valid lower bound on the cover size; the search
-    stops early once an incumbent of that size is found.
+    stops early once an incumbent of that size is found.  A ``stats`` dict,
+    when given, receives ``"nodes"``: the search nodes visited (0 when the
+    greedy cover meets the root bound).
     """
+    if stats is not None:
+        stats["nodes"] = 0
     if universe == 0:
         return []
     greedy = greedy_cover(universe, sets)
@@ -78,6 +86,7 @@ def min_cover(
     best_size = len(greedy)
     memo: dict[int, int] = {}
     chosen: list[int] = []
+    nodes = 0
 
     def lower_bound(covered: int) -> int:
         remaining = universe & ~covered
@@ -94,7 +103,8 @@ def min_cover(
 
     def branch(covered: int) -> bool:
         """Returns True when the search can stop (incumbent hit root_lb)."""
-        nonlocal best, best_size
+        nonlocal best, best_size, nodes
+        nodes += 1
         depth = len(chosen)
         if covered & universe == universe:
             if depth < best_size:
@@ -133,4 +143,6 @@ def min_cover(
         return False
 
     branch(0)
+    if stats is not None:
+        stats["nodes"] = nodes
     return best

@@ -835,16 +835,24 @@ class ClassView:
     ``winning`` and ``losing`` are computed on first use.  ``source`` names
     where the blocks come from: ``"weights"`` (equal-weight groups),
     ``"classes"`` (the classes of a complete game) or ``"players"`` (one
-    block per player, for a game given only by its antichain).
+    block per player, for a game given only by its antichain).  A
+    ``"weights"`` view also keeps the smallest integral representation it
+    was built from: ``quota`` and one weight per block in
+    ``block_weights``; both are None on other views.
     """
 
-    def __init__(self, source: str, blocks, wins, winning, losing):
+    def __init__(
+        self, source: str, blocks, wins, winning, losing,
+        quota: Optional[int] = None, block_weights=None,
+    ):
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks)
         self.sizes = tuple(len(b) for b in self.blocks)
         self.wins = wins
         self._winning = winning
         self._losing = losing
+        self.quota = quota
+        self.block_weights = block_weights
 
     @cached_property
     def winning(self) -> tuple[tuple[int, ...], ...]:
@@ -861,6 +869,16 @@ class ClassView:
     def vector(self, mask: int) -> tuple[int, ...]:
         """Count vector of a coalition mask."""
         return tuple((mask & b).bit_count() for b in self.block_masks)
+
+    @property
+    def quota_ceiling(self) -> Optional[int]:
+        """The quota ceiling ``ceil(w(N) / (w(N) - q))`` of a ``"weights"``
+        view, a lower bound on the Nakamura number; None on other views and
+        when only the grand coalition wins."""
+        if self.quota is None:
+            return None
+        total = sum(map(mul, self.block_weights, self.sizes))
+        return -(-total // (total - self.quota)) if total > self.quota else None
 
     def coalition_count(self, vectors) -> int:
         """How many coalitions realize the given count vectors."""
@@ -910,6 +928,8 @@ def class_view(game) -> ClassView:
                 _complement(sizes, d)
                 for d in _minimal_counts(values, sizes, dual_quota)
             ],
+            quota=qhat,
+            block_weights=tuple(values),
         )
     # the closures below hold the antichain, not the game, so that a game
     # and its cached view form no reference cycle

@@ -91,6 +91,7 @@ GOLDEN_RUNS = [
     ("prefix14", "nakamura"),  # complete, prefix covering program
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
     ("wide18", "nakamura"),  # weighted, 3,103 coalitions: vectors
+    ("dense20", "nakamura"),  # weighted, 31,473 coalitions: settled at the root
 ]
 GOLDEN_ARGS = {"analyze": ("--json", "json"), "nakamura": ("--witness", "txt")}
 

@@ -1,14 +1,21 @@
 import ast
+import gc
 import itertools
 import random
 import sys
+import time
+from fractions import Fraction
 from math import ceil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nakamura
+from nakamura import exact
+from nakamura.bounds import greedy_upper, strip_rounds, weighted_bounds
+from nakamura.census import enumerate_complete
 from conftest import (
     dense_winning_table,
     game_from_table,
@@ -16,6 +23,8 @@ from conftest import (
     random_vetoer_free,
 )
 from nakamura.exact import (
+    NakamuraResult,
+    SolveStats,
     nakamura_by_vectors,
     nakamura_complete,
     nakamura_exact,
@@ -400,3 +409,185 @@ def test_runtime_imports_only_the_standard_library():
         ]
         assert not foreign, f"{path.name}: imports {foreign}"
 
+
+
+# ---------------------------------------------------------------------------
+# root bound, strip incumbent and routing
+
+
+def _weighted_witness_ok(rep, witness) -> bool:
+    """Every coalition reaches the integral quota; no player is in all."""
+    qhat, what = rep.integral()
+    inter = (1 << rep.n) - 1
+    for c in witness:
+        if sum(w for i, w in enumerate(what) if c >> i & 1) < qhat:
+            return False
+        inter &= c
+    return inter == 0
+
+
+def _complete_witness_ok(g, witness) -> bool:
+    """Every coalition's prefix counts dominate some shift-minimal row's
+    (players numbered class by class); no player is in all."""
+    starts = [0, *itertools.accumulate(g.class_sizes)]
+    rows = [list(itertools.accumulate(r)) for r in g.shift_min]
+    inter = (1 << g.n) - 1
+    for c in witness:
+        counts = [
+            sum(c >> p & 1 for p in range(a, b))
+            for a, b in zip(starts, starts[1:])
+        ]
+        prefix = list(itertools.accumulate(counts))
+        if not any(all(map(int.__ge__, prefix, row)) for row in rows):
+            return False
+        inter &= c
+    return inter == 0
+
+
+def _all_routes(game):
+    """``nakamura_exact`` as routed, and with every game above the cover
+    cap (the condensed cover or the vectors program), plus the vectors
+    program without and with the game's view."""
+    inst = vector_instance(game)
+    with mock.patch.object(exact, "_COVER_SET_CAP", 0):
+        condensed = nakamura_exact(game)
+    return [
+        nakamura_exact(game),
+        condensed,
+        nakamura_by_vectors(inst),
+        nakamura_by_vectors(inst, game.view),
+    ]
+
+
+_COMPLETE_SMALL = [
+    g for n in range(2, 6) for g in enumerate_complete(n) if not g.has_vetoers()
+]
+
+
+@st.composite
+def small_weighted(draw):
+    """Weighted games on 2..8 players: zero, equal and rational weights."""
+    n = draw(st.integers(2, 8))
+    ws = [
+        Fraction(draw(st.integers(0, 9)), draw(st.sampled_from((1, 1, 2, 3))))
+        for _ in range(n)
+    ]
+    if not any(ws):
+        ws[0] = Fraction(1)
+    quota = sum(ws) * Fraction(draw(st.integers(1, 11)), 12)
+    return WeightedRep(quota, ws)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_weighted())
+def test_solvers_agree_on_weighted_games(rep):
+    game = game_from_weighted(rep)
+    if game.vetoer_mask():
+        assert nakamura_exact(game).value is None
+        assert oracle_nakamura(game) is None
+        assert greedy_upper(rep) is None
+        return
+    value = oracle_nakamura(game)
+    for res in _all_routes(game):
+        assert res.value == value
+        assert len(res.witness) == value
+        assert _weighted_witness_ok(rep, res.witness)
+    rounds = strip_rounds(rep.view)
+    assert _weighted_witness_ok(rep, rounds)
+    assert weighted_bounds(rep).lower <= value <= greedy_upper(rep) == len(rounds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_COMPLETE_SMALL))
+def test_solvers_agree_on_complete_games(g):
+    game = expand_complete(g)
+    value = oracle_nakamura(game)
+    results = [nakamura_complete(g), *_all_routes(game)]
+    for res in results:
+        assert res.value == value
+        assert len(res.witness) == value
+        assert _complete_witness_ok(g, res.witness)
+    assert nakamura_complete(g, want_witness=False).value == value
+
+
+# games whose root bound settles them, but which the search alone did not
+# solve within seconds (or at all: the 20-player game overflowed the stack)
+HARD_WEIGHTED = [
+    (175, [21, 10, 26, 4, 5, 35, 7, 24, 38, 4, 33, 14, 3, 6, 28, 27, 5, 16, 6, 36], 3),
+    (54, [5, 5, 5, 3, 5, 5, 5, 1, 5, 5, 5, 3, 5, 5, 1, 5, 3, 1], 4),
+    (130, [5] * 12 + [3] * 16 + [2] * 12 + [1] * 20, 7),
+    # the vectors greedy needs 4 here
+    (435, [45, 67, 36, 18, 32, 48, 46, 12, 54, 63, 64, 40, 38, 19, 2, 51, 43], 3),
+]
+
+
+@pytest.mark.parametrize("quota,weights,value", HARD_WEIGHTED)
+def test_hard_weighted_games_settle_at_the_root(quota, weights, value):
+    rep = WeightedRep(quota, weights)
+    game = game_from_weighted(rep)
+    start = time.process_time()
+    res = nakamura_exact(game)
+    assert time.process_time() - start < 1.0
+    assert res.value == value == len(res.witness)
+    assert _weighted_witness_ok(rep, res.witness)
+    assert verify_witness(game, res.witness)
+    assert res.stats.root_lb == value and res.stats.nodes == 0
+
+
+def test_solve_stats_record_path_bound_and_settlement():
+    stats = {
+        spec[0]: nakamura_exact(game_from_weighted(WeightedRep(*spec[:2]))).stats
+        for spec in HARD_WEIGHTED
+    }
+    assert stats[175] == SolveStats("vectors", 3, "ceiling", "greedy", 0)
+    assert stats[54] == SolveStats("cover", 4, "ceiling", "strip", 0)
+    assert stats[130] == SolveStats("vectors", 7, "ceiling", "strip", 0)
+    assert stats[435] == SolveStats("cover", 3, "ceiling", "greedy", 0)
+    # a game given by its antichain has no quota ceiling: the cover's own
+    # ceiling or the quota LP supplies the bound, and the search proves it
+    game = SimpleGame(5, (0b00111, 0b11001, 0b10110, 0b01110))
+    res = nakamura_exact(game)
+    assert res.stats.path == "cover" and res.stats.root_source in ("comb", "lp")
+    assert res.stats.root_lb <= res.value
+    assert (res.stats.settled == "search") == (res.stats.nodes > 0)
+    g = complete_from_parameters((10, 10), [(7, 8)])
+    assert nakamura_complete(g).stats.path == "complete"
+    closed = nakamura_complete(g, want_witness=False).stats
+    assert closed == SolveStats("complete", 4, "closed_form", "closed_form", 0)
+    # the record takes no part in equality
+    assert NakamuraResult(3, (1, 2, 4), closed) == NakamuraResult(3, (1, 2, 4))
+
+
+def _greedy_trap(fillers: int):
+    """A covering program whose greedy takes 3 columns where 2 suffice,
+    behind ``fillers`` empty columns that the search walks through."""
+    useful = [
+        (0, 1, 1, 1, 1, 0),  # the greedy's first pick
+        (1, 1, 1, 0, 0, 0),
+        (0, 0, 0, 1, 1, 1),
+    ]
+    return [(0,) * 6] * fillers + useful, (1,) * 6
+
+
+def test_covering_ilp_search_is_not_bounded_by_recursion_depth():
+    columns, demands = _greedy_trap(sys.getrecursionlimit() + 500)
+    stats = {}
+    best, x = solve_covering_ilp(columns, demands, stats=stats)
+    assert best == 2 and x[-2:] == [1, 1] and not any(x[:-2])
+    assert stats["nodes"] > len(columns)
+    # an incumbent meeting the root bound ends the search at once
+    assert solve_covering_ilp(columns, demands, root_lb=3, stats=stats)[0] == 3
+    assert stats["nodes"] == 0
+
+
+def test_covering_ilp_search_leaves_no_cyclic_garbage():
+    columns, demands = _greedy_trap(50)
+    gc.collect()
+    gc.disable()
+    try:
+        stats = {}
+        assert solve_covering_ilp(columns, demands, stats=stats)[0] == 2
+        assert stats["nodes"] > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
