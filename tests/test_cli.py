@@ -87,6 +87,7 @@ GOLDEN_RUNS = [
     ("simple3", "analyze"),
     ("distinct8", "analyze"),  # alpha-roughly bound printed
     ("wide18", "analyze"),  # critical LP over 3,000 rows: alpha skipped
+    ("generic15", "analyze"),  # simple game given only by its antichain
     ("cover11", "nakamura"),  # weighted, cover solver
     ("prefix14", "nakamura"),  # complete, prefix covering program
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
