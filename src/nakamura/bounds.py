@@ -162,28 +162,6 @@ def alpha_roughly_bounds(weights: Sequence, alpha) -> BoundsReport:
     return BoundsReport("alpha_roughly", lower, upper)
 
 
-def validate_alpha_roughly(game: SimpleGame, weights: Sequence, alpha) -> bool:
-    """Check a claimed rough representation against the two antichains."""
-    ws = [Fraction(w) for w in weights]
-    if len(ws) != game.n or any(w < 0 for w in ws):
-        return False
-    alpha = Fraction(alpha)
-
-    def wsum(mask: int) -> Fraction:
-        s = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                s += ws[i]
-            mask >>= 1
-            i += 1
-        return s
-
-    if any(wsum(w) < 1 for w in game.min_winning):
-        return False
-    return all(wsum(t) <= alpha for t in maximal_losing(game))
-
-
 def max_quota_lp(game: SimpleGame) -> LpOutcome:
     """Maximize the relative quota over normalized non-negative weights.
 

@@ -21,7 +21,6 @@ from .bounds import is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
-    prefix_sums,
     shift_incomparable,
     shift_maximal_losing_vectors,
 )
@@ -104,9 +103,14 @@ def r1_value(sizes, row) -> Optional[int]:
     """
     if row[0] == sizes[0]:
         return None
-    o = prefix_sums(sizes)
-    p = prefix_sums(row)
-    return max(-(-o[i] // (o[i] - p[i])) for i in range(len(sizes)))
+    best = o = p = 0
+    for size, x in zip(sizes, row):
+        o += size
+        p += x
+        value = -(-o // (o - p))
+        if value > best:
+            best = value
+    return best
 
 
 @dataclass(frozen=True)

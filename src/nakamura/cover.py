@@ -142,7 +142,10 @@ def min_cover(
                 return True
         return False
 
-    branch(0)
+    try:
+        branch(0)
+    finally:
+        del branch  # its closure cell refers to it: free the search at once
     if stats is not None:
         stats["nodes"] = nodes
     return best

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import lp
 from .cover import min_cover
@@ -147,23 +147,6 @@ def z_c(patterns: PatternSet) -> Optional[Fraction]:
     if res.status != lp.OPTIMAL:  # pragma: no cover - covering LP is feasible
         raise InvariantError(f"covering LP unexpectedly {res.status}")
     return res.objective
-
-
-def trim_to_partition(patterns: PatternSet, chosen: Sequence[int]) -> list[int]:
-    """Shrink a cover to an exact partition under subset closure.
-
-    Over-covered items stay only in the first chosen column containing
-    them (lowest index first), which realizes the closure deterministically.
-    """
-    seen = 0
-    out = []
-    for idx in chosen:
-        col = patterns.patterns[idx] & ~seen
-        seen |= col
-        out.append(col)
-    if seen != (1 << patterns.m) - 1:
-        raise InvalidGameError("chosen columns do not cover all items")
-    return out
 
 
 def game_from_instance(instance: CspInstance) -> WeightedRep:

@@ -14,6 +14,11 @@ Three representations are supported:
 No floating point is ever used in a winning/losing decision; all weight
 arithmetic is done in ``fractions.Fraction`` or plain integers, and the
 2^n-coalition table of a game known only by its antichain is one integer.
+That table is built once per game, on its one-block-per-player view
+(``ClassView.table``), and both the desirability relation and the maximal
+losing coalitions are read off it.  Winning tests and the structure flags
+keep scanning the antichain: checking a few coalitions should not pay for
+a table of 2^n bits.
 """
 
 from __future__ import annotations
@@ -21,15 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import comb, gcd, lcm, prod
 from operator import and_, eq, ge, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 MAX_PLAYERS = 64
 
-# Largest n for which dual antichains of a game given only by its antichain
-# (one block per player) are computed via a dense 2^n table.
+# Largest n for which a game given only by its antichain (one block per
+# player) gets a dense 2^n winning table: its dual antichain needs one, and
+# its desirability relation is read off it.
 DENSE_TABLE_CAP = 24
 
 # Guard for expanding a complete game's vector lattice.
@@ -226,7 +232,10 @@ def _minimal_counts(
             if t2 >= quota:
                 break
 
-    rec(0, [], 0, None)
+    try:
+        rec(0, [], 0, None)
+    finally:
+        del rec  # its closure cell refers to it: free the search at once
     return out
 
 
@@ -394,49 +403,62 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
     decreasing desirability) is unique; otherwise classes are ordered by how
     many other classes they dominate, ties by smallest member.  The classes
     are unions of the blocks of ``game.view``.
+
+    A ``"players"`` view on at most ``DENSE_TABLE_CAP`` players reads the
+    relation off its winning table (``_table_rows``); every other view runs
+    the exchange test ``_block_geq`` over its minimal winning vectors.
     """
     view = game.view
-    groups = view.blocks
-    k = len(groups)
-    geq = [[a == b or _block_geq(view, a, b) for b in range(k)] for a in range(k)]
-
-    # merge mutually-comparable groups
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(k):
-        for b in range(a + 1, k):
-            if geq[a][b] and geq[b][a]:
-                parent[find(a)] = find(b)
-
+    k = len(view.blocks)
+    if view.table is not None and k <= DENSE_TABLE_CAP:
+        rows = _table_rows(k, view.table())
+    else:
+        rows = [
+            sum(1 << b for b in range(k) if a == b or _block_geq(view, a, b))
+            for a in range(k)
+        ]
+    # the relation is a preorder, so equivalent blocks have equal rows
     members: dict[int, list[int]] = {}
-    for g_idx, g in enumerate(groups):
-        members.setdefault(find(g_idx), []).extend(g)
-    roots = list(members)
+    first: dict[int, int] = {}
+    for a, (row, block) in enumerate(zip(rows, view.blocks)):
+        members.setdefault(row, []).extend(block)
+        first.setdefault(row, a)
 
-    def dominates(ra, rb) -> bool:
-        return geq[ra][rb] and not geq[rb][ra]
+    def dominated(row: int) -> int:
+        a = first[row]
+        return sum(
+            1 for other, b in first.items()
+            if other != row and row >> b & 1 and not other >> a & 1
+        )
 
-    is_complete = True
-    for x in range(len(roots)):
-        for y in range(x + 1, len(roots)):
-            if not (geq[roots[x]][roots[y]] or geq[roots[y]][roots[x]]):
-                is_complete = False
+    count = {row: dominated(row) for row in members}
+    ordered = sorted(members, key=lambda row: (-count[row], min(members[row])))
+    classes = tuple(tuple(p + 1 for p in sorted(members[row])) for row in ordered)
+    # of two distinct classes at most one dominates the other, and exactly
+    # one does when they are comparable
+    c = len(classes)
+    return classes, sum(count.values()) == c * (c - 1) // 2
 
-    def rank(r) -> tuple[int, int]:
-        dominated = sum(1 for s in roots if s != r and dominates(r, s))
-        return (-dominated, min(members[r]))
 
-    ordered = sorted(roots, key=rank)
-    classes = tuple(
-        tuple(p + 1 for p in sorted(members[r])) for r in ordered
-    )
-    return classes, is_complete
+def _table_rows(n: int, win: int) -> list[int]:
+    """Desirability rows of the up-closed 2^n-bit winning table ``win``:
+    bit ``j`` of row ``i`` is set iff player ``i`` is at least as desirable
+    as player ``j``.
+
+    ``joins[i]`` holds the coalitions ``S`` without ``i`` such that ``S + i``
+    wins.  ``i`` is at least as desirable as ``j`` iff no ``S`` without
+    either wins with ``j`` and loses with ``i``, i.e. iff ``joins[j]`` meets
+    none of the coalitions without ``i`` outside ``joins[i]``.
+    """
+    joins = [win >> shift & without for shift, without in _player_free_masks(n)]
+    joins.reverse()  # _player_free_masks runs from player n-1 down to 0
+    rows = [0] * n
+    for i, (_, without) in zip(reversed(range(n)), _player_free_masks(n)):
+        stays_losing = without ^ joins[i]
+        rows[i] = sum(
+            1 << j for j, joins_j in enumerate(joins) if not joins_j & stays_losing
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +469,18 @@ def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
     """The antichain of inclusion-maximal losing coalitions.
 
     The coalitions realizing the maximal losing vectors of ``game.view``;
-    a game known only by its antichain takes them from a dense table, which
+    a ``"players"`` view takes them straight from its winning table, which
     caps that case at ``DENSE_TABLE_CAP`` players.
     """
     view = game.view
+    if view.table is not None:
+        return sort_coalitions(_maximal_losing_masks(game.n, view.table()))
     return sort_coalitions(masks_with_vectors(view.blocks, view.losing))
 
 
-def _dense_maximal_losing(n: int, min_winning) -> list[int]:
-    """Maximal losing masks, ascending, from a table of all 2^n coalitions:
-    one 2^n-bit integer whose bit ``m`` is set iff coalition ``m`` wins."""
+def _winning_table(n: int, min_winning) -> int:
+    """The table of all 2^n coalitions as one 2^n-bit integer whose bit
+    ``m`` is set iff coalition ``m`` contains a minimal winning one."""
     if n > DENSE_TABLE_CAP:
         raise CapacityError(f"dense table needs n <= {DENSE_TABLE_CAP}, got {n}")
     table = bytearray((1 << n >> 3) or 1)
@@ -465,11 +489,16 @@ def _dense_maximal_losing(n: int, min_winning) -> list[int]:
     win = int.from_bytes(table, "little")
     for shift, without in _player_free_masks(n):  # up-close
         win |= (win & without) << shift
+    return win
+
+
+def _maximal_losing_masks(n: int, win: int) -> list[int]:
+    """Maximal losing masks, ascending, of the winning table ``win``."""
     # losing, and winning as soon as any absent player joins
     ok = (1 << (1 << n)) - 1 & ~win
     for shift, without in _player_free_masks(n):
         ok &= ~without | win >> shift
-    data = ok.to_bytes(len(table), "little")
+    data = ok.to_bytes((1 << n >> 3) or 1, "little")
     out = []
     for k in itertools.compress(range(len(data)), data):
         out.extend(8 * k + b for b in range(8) if data[k] >> b & 1)
@@ -786,16 +815,6 @@ def minimal_vectors(vectors) -> list[tuple[int, ...]]:
     return out
 
 
-def shift_minimal_vectors(vectors) -> list[tuple[int, ...]]:
-    """Minimal elements under prefix-sum dominance, decreasing lex order."""
-    vs = sorted(set(vectors), reverse=True)
-    out = []
-    for v in vs:
-        if not any(shift_leq(u, v) for u in vs if u != v):
-            out.append(v)
-    return out
-
-
 def desirability_vectors(game: SimpleGame):
     """``(classes, is_complete, vectors)``: the desirability classes as in
     ``desirability_classes`` and the minimal winning count vectors over
@@ -803,18 +822,6 @@ def desirability_vectors(game: SimpleGame):
     classes, complete = desirability_classes(game)
     vectors = minimal_vectors(vector_of_mask(w, classes) for w in game.min_winning)
     return classes, complete, vectors
-
-
-def canonical_vector_form(game: SimpleGame):
-    """Isomorphism invariant: class sizes in desirability order plus the
-    sorted minimal winning count vectors, and the completeness flag.
-
-    Two games with equal forms are isomorphic (relabel class by class); for
-    complete games the converse holds as well since the class order is
-    then unique.
-    """
-    classes, complete, vectors = desirability_vectors(game)
-    return tuple(len(c) for c in classes), tuple(sorted(vectors)), complete
 
 
 # ---------------------------------------------------------------------------
@@ -838,12 +845,15 @@ class ClassView:
     block per player, for a game given only by its antichain).  A
     ``"weights"`` view also keeps the smallest integral representation it
     was built from: ``quota`` and one weight per block in
-    ``block_weights``; both are None on other views.
+    ``block_weights``; both are None on other views.  A ``"players"`` view
+    has ``table()``, its up-closed winning table (``_winning_table``), built
+    once on first call and raising ``CapacityError`` above
+    ``DENSE_TABLE_CAP`` players; ``table`` is None on other views.
     """
 
     def __init__(
         self, source: str, blocks, wins, winning, losing,
-        quota: Optional[int] = None, block_weights=None,
+        quota: Optional[int] = None, block_weights=None, table=None,
     ):
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks)
@@ -853,6 +863,7 @@ class ClassView:
         self._losing = losing
         self.quota = quota
         self.block_weights = block_weights
+        self.table = table
 
     @cached_property
     def winning(self) -> tuple[tuple[int, ...], ...]:
@@ -900,9 +911,10 @@ def class_view(game) -> ClassView:
     The blocks are the ones each kind of game has without any search:
     equal-weight groups of a weighted representation (heaviest first), the
     classes of a complete game with vectors in lattice order, or one block
-    per player with incidence rows in ``min_winning`` order.  A game built
-    by ``game_from_weighted`` or ``expand_complete`` carries its source's
-    view instead.
+    per player with incidence rows in ``min_winning`` order (the maximal
+    losing rows come ascending by mask from the view's winning table).  A
+    game built by ``game_from_weighted`` or ``expand_complete`` carries its
+    source's view instead.
     """
     if isinstance(game, CompleteGame):
         return ClassView(
@@ -944,10 +956,15 @@ def class_view(game) -> ClassView:
         mask = sum(map(mul, c, bits))
         return mask in minimal or any(w & mask == w for w in min_winning)
 
+    @cache
+    def table() -> int:
+        return _winning_table(n, min_winning)
+
     return ClassView(
         "players",
         [(p,) for p in range(n)],
         wins,
         lambda: incidence(min_winning),
-        lambda: incidence(_dense_maximal_losing(n, min_winning)),
+        lambda: incidence(_maximal_losing_masks(n, table())),
+        table=table,
     )

@@ -5,7 +5,11 @@ scan the antichain directly, dual antichains and desirability come from
 full 2^n sweeps (one of them over a numpy table of all 2^n coalitions), the
 Nakamura oracle enumerates coalition subsets, and the weightedness oracle
 checks its certificates on the whole count-vector lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
-with no integer scaling.
+with no integer scaling.  The desirability classes have a second oracle,
+the exchange test over the minimal winning vectors merged by union-find,
+which reads no winning table.  Helpers that only tests call
+(``shift_minimal_vectors``, ``canonical_vector_form``,
+``trim_to_partition``, ``validate_alpha_roughly``) live here too.
 """
 
 import itertools
@@ -20,15 +24,20 @@ import pytest
 
 from nakamura import lp
 from nakamura.bounds import BoundsReport, _ceil_frac, _critical_lp
+from nakamura.cutting import PatternSet
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import (
     DENSE_TABLE_CAP,
     CapacityError,
+    InvalidGameError,
     PlayerClassification,
     SimpleGame,
     WeightedRep,
+    desirability_vectors,
     game_from_weighted,
+    maximal_losing,
     players_from_mask,
+    shift_leq,
 )
 
 
@@ -177,6 +186,117 @@ def oracle_geq(game: SimpleGame, i: int, j: int) -> bool:
             ):
                 return False
     return True
+
+
+def oracle_desirability_classes(game: SimpleGame):
+    """``desirability_classes`` by the exchange test on every view: the
+    relation between blocks from the minimal winning vectors, merged into
+    classes by union-find over mutually comparable blocks."""
+    view = game.view
+
+    def block_geq(a: int, b: int) -> bool:
+        # trading a b-member for an a-member in any minimal winning vector
+        # that has both a b-member to give and room in a must stay winning
+        for v in view.winning:
+            if v[b] and v[a] < view.sizes[a]:
+                c = list(v)
+                c[a] += 1
+                c[b] -= 1
+                if not view.wins(c):
+                    return False
+        return True
+
+    k = len(view.blocks)
+    geq = [[a == b or block_geq(a, b) for b in range(k)] for a in range(k)]
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(k):
+        for b in range(a + 1, k):
+            if geq[a][b] and geq[b][a]:
+                parent[find(a)] = find(b)
+    members: dict[int, list[int]] = {}
+    for a, block in enumerate(view.blocks):
+        members.setdefault(find(a), []).extend(block)
+    roots = list(members)
+    complete = all(
+        geq[r][s] or geq[s][r] for r, s in itertools.combinations(roots, 2)
+    )
+
+    def rank(r):
+        dominated = sum(1 for s in roots if geq[r][s] and not geq[s][r])
+        return (-dominated, min(members[r]))
+
+    classes = tuple(
+        tuple(p + 1 for p in sorted(members[r])) for r in sorted(roots, key=rank)
+    )
+    return classes, complete
+
+
+def shift_minimal_vectors(vectors) -> list[tuple[int, ...]]:
+    """Minimal elements under prefix-sum dominance, decreasing lex order."""
+    vs = sorted(set(vectors), reverse=True)
+    out = []
+    for v in vs:
+        if not any(shift_leq(u, v) for u in vs if u != v):
+            out.append(v)
+    return out
+
+
+def canonical_vector_form(game: SimpleGame):
+    """Isomorphism invariant: class sizes in desirability order plus the
+    sorted minimal winning count vectors, and the completeness flag.
+
+    Two games with equal forms are isomorphic (relabel class by class); for
+    complete games the converse holds as well since the class order is
+    then unique.
+    """
+    classes, complete, vectors = desirability_vectors(game)
+    return tuple(len(c) for c in classes), tuple(sorted(vectors)), complete
+
+
+def trim_to_partition(patterns: PatternSet, chosen: Sequence[int]) -> list[int]:
+    """Shrink a cover to an exact partition under subset closure.
+
+    Over-covered items stay only in the first chosen column containing
+    them (lowest index first), which realizes the closure deterministically.
+    """
+    seen = 0
+    out = []
+    for idx in chosen:
+        col = patterns.patterns[idx] & ~seen
+        seen |= col
+        out.append(col)
+    if seen != (1 << patterns.m) - 1:
+        raise InvalidGameError("chosen columns do not cover all items")
+    return out
+
+
+def validate_alpha_roughly(game: SimpleGame, weights: Sequence, alpha) -> bool:
+    """Check a claimed rough representation against the two antichains."""
+    ws = [Fraction(w) for w in weights]
+    if len(ws) != game.n or any(w < 0 for w in ws):
+        return False
+    alpha = Fraction(alpha)
+
+    def wsum(mask: int) -> Fraction:
+        s = Fraction(0)
+        i = 0
+        while mask:
+            if mask & 1:
+                s += ws[i]
+            mask >>= 1
+            i += 1
+        return s
+
+    if any(wsum(w) < 1 for w in game.min_winning):
+        return False
+    return all(wsum(t) <= alpha for t in maximal_losing(game))
 
 
 def oracle_r1_certificate(sizes, row):

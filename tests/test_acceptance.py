@@ -34,6 +34,7 @@ import time
 from math import ceil
 
 from conftest import (
+    canonical_vector_form,
     dense_winning_table,
     game_from_table,
     oracle_r1_certificate,
@@ -69,7 +70,6 @@ from nakamura.families import (
 from nakamura.games import (
     SimpleGame,
     WeightedRep,
-    canonical_vector_form,
     classify_players,
     complete_from_parameters,
     expand_complete,

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_alpha_critical_vectors, random_vetoer_free
+from conftest import (
+    oracle_alpha_critical_vectors,
+    random_vetoer_free,
+    validate_alpha_roughly,
+)
 from nakamura.bounds import (
     alpha_critical,
     alpha_roughly_bounds,
     cardinality_bounds,
     greedy_upper,
     max_quota_lp,
-    validate_alpha_roughly,
     weighted_bounds,
 )
 from nakamura.exact import nakamura_exact

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_vetoer_free
+from conftest import random_vetoer_free, trim_to_partition
 from nakamura import lp as lp_mod
 from nakamura.cutting import (
     CspInstance,
@@ -13,7 +13,6 @@ from nakamura.cutting import (
     instance_from_game,
     patterns_from_game,
     patterns_from_instance,
-    trim_to_partition,
     z_b,
     z_b_losing_cover,
     z_c,

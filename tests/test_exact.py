@@ -591,3 +591,18 @@ def test_covering_ilp_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cover_and_count_searches_leave_no_cyclic_garbage():
+    rep = WeightedRep(90, [9] * 10 + [2] * 4 + [1] * 2)
+    game = game_from_weighted(WeightedRep(48, (7, 3, 8, 7, 3, 8, 8, 9, 1, 4)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(rep.view.winning) > 0  # the count search of a weights view
+        assert gc.collect() == 0
+        res = nakamura_exact(game)
+        assert res.stats.settled == "search" and res.value == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

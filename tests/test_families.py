@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import canonical_vector_form
 from nakamura.exact import nakamura_exact
 from nakamura.families import (
     FamilySpec,
@@ -12,7 +13,6 @@ from nakamura.games import (
     CapacityError,
     InvalidGameError,
     WeightedRep,
-    canonical_vector_form,
     desirability_classes,
     game_from_weighted,
 )

@@ -8,6 +8,7 @@ from conftest import (
     oracle_cardinality_bounds,
     oracle_classify_players,
     oracle_dense_maximal_losing,
+    oracle_desirability_classes,
     oracle_geq,
     oracle_is_winning,
     oracle_maximal_losing,
@@ -18,6 +19,7 @@ from conftest import (
     random_rational_rep,
     random_rep,
     random_simple_game,
+    shift_minimal_vectors,
 )
 from nakamura.bounds import cardinality_bounds
 from nakamura.games import (
@@ -36,7 +38,6 @@ from nakamura.games import (
     minimal_winning_vectors,
     players_from_mask,
     shift_leq,
-    shift_minimal_vectors,
     simple_game,
     structure_flags,
     vector_is_winning,
@@ -322,6 +323,40 @@ def test_desirability_matches_definition():
             if complete:  # strongest class first
                 for a, b in zip(classes, classes[1:]):
                     assert geq[a[0] - 1][b[0] - 1]
+
+
+def _random_antichain(rng, n, count):
+    """The inclusion-minimal members of ``count`` random coalitions."""
+    p = rng.uniform(0.2, 0.7)
+    masks = {
+        sum(1 << i for i in range(n) if rng.random() < p) | 1 << rng.randrange(n)
+        for _ in range(count)
+    }
+    return SimpleGame(
+        n, tuple(m for m in masks if not any(o != m and o & m == o for o in masks))
+    )
+
+
+def test_desirability_classes_match_exchange_oracle():
+    from nakamura.families import all_simple_games
+
+    rng = random.Random(1301)
+    games = [g for n in range(1, 6) for g in all_simple_games(n)]
+    # antichains read through the winning table, and with equivalent
+    # players: weighted antichains on the players view
+    for _ in range(150):
+        games.append(_random_antichain(rng, rng.randint(6, 14), rng.randint(2, 40)))
+        weighted = game_from_weighted(random_rep(rng, n_max=14))
+        games.append(SimpleGame(weighted.n, weighted.min_winning))
+    games += [_random_antichain(rng, n, 40) for n in (20, 24)]
+    # above DENSE_TABLE_CAP the players view keeps the exchange test
+    games.append(_random_antichain(rng, 26, 30))
+    # block views: row grouping over equal-weight groups and complete classes
+    games += [game_from_weighted(random_rep(rng, n_max=12)) for _ in range(100)]
+    for n in range(2, 9):
+        games.extend(expand_complete(g) for g in random_complete_games(rng, n, 5))
+    for game in games:
+        assert desirability_classes(game) == oracle_desirability_classes(game), game
 
 
 def test_weighted_games_are_complete():
