@@ -93,6 +93,8 @@ GOLDEN_RUNS = [
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
     ("wide18", "nakamura"),  # weighted, 3,103 coalitions: vectors
     ("dense20", "nakamura"),  # weighted, 31,473 coalitions: settled at the root
+    ("search11", "nakamura"),  # weighted, cover search from the quota ceiling
+    ("search18", "nakamura"),  # weighted, vectors search from the quota ceiling
 ]
 GOLDEN_ARGS = {"analyze": ("--json", "json"), "nakamura": ("--witness", "txt")}
 
