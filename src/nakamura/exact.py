@@ -6,24 +6,28 @@ Restricting to minimal winning coalitions never changes the optimum, and
 complementing turns the problem into a minimum set cover: cover all players
 by complements of minimal winning coalitions.
 
-``nakamura_exact`` routes a game by its condensation.  With at most
-``_COVER_SET_CAP`` minimal winning coalitions it solves that cover by
-branch and bound over bit masks (``cover.min_cover``).  Above the cap the
-game is condensed to count vectors over player classes
-(``vector_instance``).  When every class holds one player, the vectors are
-the coalitions, so they go to the same cover solver; otherwise
-``nakamura_by_vectors`` solves the covering program over the classes.
-``nakamura_complete`` solves a complete game's prefix program straight from
-its parameters.
+``nakamura_exact`` first tries to settle a weighted game on its weights
+alone: the quota ceiling ``ceil(w(N) / (w(N) - q))`` bounds the number from
+below and the rounds of the improved greedy that strips the heaviest
+players (``bounds.strip_rounds``) bound it from above, and when the two
+meet no coalition is listed.  Every other game is routed by its
+condensation.  With at most ``_COVER_SET_CAP`` minimal winning coalitions
+it solves that cover by branch and bound over bit masks
+(``cover.min_cover``).  Above the cap the game is condensed to count
+vectors over player classes (``vector_instance``).  When every class holds
+one player, the vectors are the coalitions, so they go to the same cover
+solver; otherwise ``nakamura_by_vectors`` solves the covering program over
+the classes.  ``nakamura_complete`` solves a complete game's prefix program
+straight from its parameters.
 
 Every path starts from a root lower bound: the program's own ceiling
 (demand over the best single set or column) and, for a weighted game, the
-quota ceiling ``ceil(w(N) / (w(N) - q))``.  The greedy incumbent is the
-answer when it meets that bound; if it does not, the rounds of the improved
-greedy that strips the heaviest players (``bounds.strip_rounds``) are the
-answer when they do.  Only then does a search run, and it stops at the
-first incumbent that meets the bound.  ``NakamuraResult.stats`` records the
-path, the root bound and what settled the answer.
+quota ceiling, which the program's ceiling can exceed.  The greedy
+incumbent is the answer when it meets that bound; if it does not, the
+strip's rounds are the answer when they do.  Only then does a search run,
+and it stops at the first incumbent that meets the bound.
+``NakamuraResult.stats`` records the path, the root bound and what settled
+the answer.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ _COVER_SET_CAP = 2000
 class SolveStats:
     """How an exact value was reached.
 
-    * ``path`` -- ``"cover"`` (bitmask cover over coalitions), ``"vectors"``
-      (covering program over player classes) or ``"complete"`` (a complete
-      game's prefix program or closed form);
+    * ``path`` -- ``"weights"`` (a weighted game settled on its weights
+      before any coalition is listed), ``"cover"`` (bitmask cover over
+      coalitions), ``"vectors"`` (covering program over player classes) or
+      ``"complete"`` (a complete game's prefix program or closed form);
     * ``root_lb`` -- the lower bound known before any search, and
       ``root_source`` what supplied it: ``"ceiling"`` (the quota ceiling of
       a weighted game, preferred on ties), ``"comb"`` (the program's own
@@ -129,14 +134,17 @@ def nakamura_symmetric(n: int, qhat: int) -> NakamuraResult:
 def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     """Exact Nakamura number of a simple game, with an optimal witness.
 
-    Routing: at most ``_COVER_SET_CAP`` minimal winning coalitions go to
-    branch and bound on the complement cover.  Larger antichains are
-    condensed to count vectors over player classes first; if every class
-    holds one player, the vectors are the coalitions and go to the same
-    cover solver, otherwise to ``nakamura_by_vectors``.
+    Routing: a weighted game whose strip meets its quota ceiling is
+    settled on its weights (path ``"weights"``), before any minimal winning
+    vector is built.  Otherwise at most ``_COVER_SET_CAP`` minimal winning
+    coalitions go to branch and bound on the complement cover.  Larger
+    antichains are condensed to count vectors over player classes first; if
+    every class holds one player, the vectors are the coalitions and go to
+    the same cover solver, otherwise to ``nakamura_by_vectors``.
 
     Root bound: the program's own ceiling and, for a weighted game, the
-    quota ceiling of its view.  The greedy incumbent is returned when it
+    quota ceiling of its view (the strip is tried again when the program's
+    ceiling is the larger).  The greedy incumbent is returned when it
     meets the bound, else the improved greedy's strip when that does.  Only
     then does the cover over the antichain add the quota-LP bound when it
     is cheap (never on the condensed cover, where the full LP is large),
@@ -145,6 +153,10 @@ def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     if game.vetoer_mask():
         return INFINITE_RESULT
     view = game.view
+    ceiling = view.quota_ceiling
+    strip = _strip_meeting(view, ceiling)
+    if strip is not None:
+        return _result(strip, SolveStats("weights", ceiling, "ceiling", "strip", 0))
     if view.coalition_count(view.winning) <= _COVER_SET_CAP:
         return _cover_result(game, game.min_winning, quota_lp=True)
     inst = vector_instance(game)

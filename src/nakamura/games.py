@@ -303,7 +303,12 @@ class SimpleGame:
         view = self.view
         if view.source == "players":  # faster on the antichain's own masks
             return reduce(and_, self.min_winning, self.grand)
-        full = map(eq, map(min, zip(*view.winning)), view.sizes)
+        if view.quota is not None:
+            # a block's players veto iff the grand coalition loses one of them
+            total = sum(map(mul, view.block_weights, view.sizes))
+            full = (total - w < view.quota for w in view.block_weights)
+        else:
+            full = map(eq, map(min, zip(*view.winning)), view.sizes)
         return sum(itertools.compress(view.block_masks, full))
 
     def null_mask(self) -> int:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nakamura
-from nakamura import exact
+from nakamura import exact, games
 from nakamura.bounds import greedy_upper, strip_rounds, weighted_bounds
 from nakamura.census import enumerate_complete
+from nakamura.cli import main
 from conftest import (
     dense_winning_table,
     game_from_table,
@@ -534,15 +535,43 @@ def test_hard_weighted_games_settle_at_the_root(quota, weights, value):
     assert res.stats.root_lb == value and res.stats.nodes == 0
 
 
+def test_weights_settle_builds_no_winning_vector(capsys, monkeypatch):
+    # the quota ceiling and the strip read only the weights, so a game they
+    # settle never runs the count search of its view
+    def refuse(*args):
+        raise AssertionError("minimal winning vectors built")
+
+    monkeypatch.setattr(games, "_minimal_counts", refuse)
+    for quota, weights, value in HARD_WEIGHTED:
+        game = weighted(quota, *weights)
+        res = nakamura_exact(game)
+        assert res.value == value and res.stats.path == "weights"
+        assert "winning" not in game.view.__dict__
+    dense20 = Path(__file__).parent / "golden" / "dense20.game"
+    assert main(["nakamura", str(dense20), "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "3" and len(lines) == 4
+
+
 def test_solve_stats_record_path_bound_and_settlement():
     stats = {
         spec[0]: nakamura_exact(game_from_weighted(WeightedRep(*spec[:2]))).stats
         for spec in HARD_WEIGHTED
     }
-    assert stats[175] == SolveStats("vectors", 3, "ceiling", "greedy", 0)
-    assert stats[54] == SolveStats("cover", 4, "ceiling", "strip", 0)
-    assert stats[130] == SolveStats("vectors", 7, "ceiling", "strip", 0)
-    assert stats[435] == SolveStats("cover", 3, "ceiling", "greedy", 0)
+    assert stats[175] == SolveStats("weights", 3, "ceiling", "strip", 0)
+    assert stats[54] == SolveStats("weights", 4, "ceiling", "strip", 0)
+    assert stats[130] == SolveStats("weights", 7, "ceiling", "strip", 0)
+    assert stats[435] == SolveStats("weights", 3, "ceiling", "strip", 0)
+    # where the strip misses the quota ceiling, the cover and the vectors
+    # program search from it
+    cover = weighted(131, 15, 34, 27, 9, 7, 4, 19, 22, 12, 23, 25)
+    assert nakamura_exact(cover).stats == SolveStats(
+        "cover", 3, "ceiling", "search", 48
+    )
+    vectors = weighted(49, *[4, 2, 6, 6, 6, 4, 2, 6, 6, 4, 4, 2, 2, 2, 4, 4, 4, 6])
+    assert nakamura_exact(vectors).stats == SolveStats(
+        "vectors", 3, "ceiling", "search", 369
+    )
     # a game given by its antichain has no quota ceiling: the cover's own
     # ceiling or the quota LP supplies the bound, and the search proves it
     game = SimpleGame(5, (0b00111, 0b11001, 0b10110, 0b01110))

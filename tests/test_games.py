@@ -250,22 +250,29 @@ def test_classify_dictator():
 
 def test_view_facts_match_antichain_oracles():
     # vetoers, nulls, passers, the dictator, the cardinality bounds and the
-    # coalition count come from the view; the oracles read the antichain
+    # coalition count come from the view (a weighted game's vetoers from its
+    # weights alone); the oracles read the antichain
     rng = random.Random(43)
     games = three_kinds(rng, 60, 9)
     games += [game_from_weighted(random_rational_rep(rng, 9)) for _ in range(60)]
     games += [
         game_from_weighted(WeightedRep(2, (2, 1, 0))),  # dictator and a null
         game_from_weighted(WeightedRep(Fraction(1, 2), (Fraction(1, 2), 1))),
+        game_from_weighted(WeightedRep(3, (1, 1, 1))),  # all vetoers
+        game_from_weighted(WeightedRep(5, (2, 0, 3, 0))),  # vetoers and nulls
+        game_from_weighted(WeightedRep(4, (2, 0, 2, 1))),  # two of three veto
+        game_from_weighted(WeightedRep(Fraction(7, 2), (2, 0, 0, 2))),
         expand_complete(complete_from_parameters((1, 2), [(1, 0)])),
         expand_complete(complete_from_parameters((2, 2), [(1, 0)])),
         simple_game(3, [[2]]),
     ]
     for game in games:
         view = game.view
+        vetoers = game.vetoer_mask()
+        assert view.quota is None or "winning" not in view.__dict__
         count = view.coalition_count(view.winning)
         facts = (
-            game.vetoer_mask(),
+            vetoers,
             game.null_mask(),
             classify_players(game),
             cardinality_bounds(game),
