@@ -88,11 +88,11 @@ GOLDEN_RUNS = [
     ("distinct8", "analyze"),  # alpha-roughly bound printed
     ("wide18", "analyze"),  # critical LP over 3,000 rows: alpha skipped
     ("generic15", "analyze"),  # simple game given only by its antichain
-    ("cover11", "nakamura"),  # weighted, cover solver
+    ("cover11", "nakamura"),  # weighted, settled on its weights
     ("prefix14", "nakamura"),  # complete, prefix covering program
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
-    ("wide18", "nakamura"),  # weighted, 3,103 coalitions: vectors
-    ("dense20", "nakamura"),  # weighted, 31,473 coalitions: settled at the root
+    ("wide18", "nakamura"),  # weighted, 3,103 coalitions: weights settle
+    ("dense20", "nakamura"),  # weighted, 31,473 coalitions: weights settle
     ("search11", "nakamura"),  # weighted, cover search from the quota ceiling
     ("search18", "nakamura"),  # weighted, vectors search from the quota ceiling
 ]
