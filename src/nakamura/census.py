@@ -220,4 +220,7 @@ def enumerate_complete(
                     yield from grow(k + 1)
                     chosen.pop()
 
-        yield from grow(0)
+        try:
+            yield from grow(0)
+        finally:
+            del grow  # its closure cell refers to it: free the search at once

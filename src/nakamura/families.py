@@ -236,7 +236,10 @@ def all_simple_games(n: int) -> Iterator[SimpleGame]:
                 yield from grow(i + 1)
                 chosen.pop()
 
-    yield from grow(0)
+    try:
+        yield from grow(0)
+    finally:
+        del grow  # its closure cell refers to it: free the search at once
 
 
 def max_nakamura(

@@ -17,6 +17,7 @@ from nakamura import exact, games
 from nakamura.bounds import greedy_upper, strip_rounds, weighted_bounds
 from nakamura.census import enumerate_complete
 from nakamura.cli import main
+from nakamura.families import all_simple_games
 from conftest import (
     dense_winning_table,
     game_from_table,
@@ -633,5 +634,14 @@ def test_cover_and_count_searches_leave_no_cyclic_garbage():
         res = nakamura_exact(game)
         assert res.stats.settled == "search" and res.value == 7
         assert gc.collect() == 0
+        # the recursive game generators, run out and closed early
+        for generate in (all_simple_games, enumerate_complete):
+            assert sum(1 for _ in generate(4)) > 0
+            assert gc.collect() == 0
+            games_of_4 = generate(4)
+            next(games_of_4)
+            next(games_of_4)
+            games_of_4.close()
+            assert gc.collect() == 0
     finally:
         gc.enable()
