@@ -143,12 +143,13 @@ def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     the same cover solver, otherwise to ``nakamura_by_vectors``.
 
     Root bound: the program's own ceiling and, for a weighted game, the
-    quota ceiling of its view (the strip is tried again when the program's
-    ceiling is the larger).  The greedy incumbent is returned when it
-    meets the bound, else the improved greedy's strip when that does.  Only
-    then does the cover over the antichain add the quota-LP bound when it
-    is cheap (never on the condensed cover, where the full LP is large),
-    and the search stops as soon as an incumbent meets the bound.
+    quota ceiling of its view.  The greedy incumbent is returned when it
+    meets the bound, else the improved greedy's strip when that does
+    (after the weights settle, only a program ceiling above the quota
+    ceiling lets it).  Only then does the cover over the antichain add the
+    quota-LP bound when it is cheap (never on the condensed cover, where
+    the full LP is large), and the search stops as soon as an incumbent
+    meets the bound.
     """
     if game.vetoer_mask():
         return INFINITE_RESULT
