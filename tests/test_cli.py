@@ -88,6 +88,7 @@ GOLDEN_RUNS = [
     ("distinct8", "analyze"),  # alpha-roughly bound printed
     ("wide18", "analyze"),  # critical LP over 3,000 rows: alpha skipped
     ("generic15", "analyze"),  # simple game given only by its antichain
+    ("groups19", "analyze"),  # weighted, four equal-weight groups: alpha printed
     ("cover11", "nakamura"),  # weighted, settled on its weights
     ("prefix14", "nakamura"),  # complete, prefix covering program
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
