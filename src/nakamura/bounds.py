@@ -1,4 +1,4 @@
-"""Lower and upper bounds on the Nakamura number, plus the exact-rational LPs.
+"""Lower and upper bounds on the Nakamura number, plus the exact-rational LP.
 
 Bound families:
 
@@ -14,11 +14,18 @@ Bound families:
   when not every coalition of the maximum cardinality wins; reports carry
   it as a heuristic and the sandwich tests exclude it.
 * ``alpha_roughly_bounds`` -- ceilings for alpha-roughly weighted games.
+
+The three LP programs are one LP, ``_critical_lp``: the least alpha over
+non-negative weights under which every winning row weighs at least 1 and
+every losing row at most alpha, solved as its dual with one row per weight.
+
 * ``max_quota_lp`` -- the largest relative quota any normalized weight
   vector can certify, with the derived minimum maximum excess, price of
-  stability, and lower bound.
-* ``alpha_critical`` -- the least alpha admitting a rough representation;
-  below 1 exactly for weighted games.
+  stability, and lower bound: the LP over the view's minimal winning
+  vectors with the grand coalition as the only losing row, q* = 1/alpha.
+* ``alpha_critical`` -- the least alpha admitting a rough representation,
+  the LP over the view's winning and losing vectors; below 1 exactly for
+  weighted games.
 * ``is_weighted_vectors`` -- the weightedness test of the census module: the
   same threshold over ordered class weights of a complete game, with rows
   only for its shift-minimal winning rows and its shift-maximal losing
@@ -41,7 +48,7 @@ from .games import (
     InvariantError,
     SimpleGame,
     WeightedRep,
-    maximal_losing,
+    prefix_sums,
 )
 
 
@@ -165,39 +172,23 @@ def alpha_roughly_bounds(weights: Sequence, alpha) -> BoundsReport:
 def max_quota_lp(game: SimpleGame) -> LpOutcome:
     """Maximize the relative quota over normalized non-negative weights.
 
-    Solved in the equivalent matrix-game orientation (few rows, one column
-    per minimal winning count vector): minimize the largest per-player mass
-    ``v`` of a distribution over minimal winning coalitions.  The optimal
-    weights come back as the duals; feasibility and optimality of the
-    returned pair are asserted exactly, so a wrong certificate cannot
-    escape.
+    The critical-threshold LP over the view's minimal winning vectors with
+    the grand coalition as its only losing row: the least total weight
+    ``alpha`` under which every minimal winning vector weighs at least 1 is
+    ``1/q*``, and the block weights are ``x/alpha``.  Feasibility and
+    optimality of the returned pair are asserted exactly, so a wrong
+    certificate cannot escape.
     """
     view = game.view
     sizes, vectors = view.sizes, view.winning
-    t = len(sizes)
-    nv = len(vectors)
-    # variables: y_V for each vector, then v
-    costs = [0] * nv + [1]
-    rows = []
-    for j in range(t):
-        # class row j, times the class size: sum_V V[j] y_V <= sizes[j] v
-        rows.append(([vec[j] for vec in vectors] + [-sizes[j]], "<=", 0))
-    rows.append(([1] * nv + [0], "==", 1))
-    res = lp.solve_lp(costs, rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover - always feasible/bounded
-        raise InvariantError(f"quota LP unexpectedly {res.status}")
-    qstar = res.objective
-    # the dual of class row j is the per-player weight of the class
-    block_w = [-res.duals[j] for j in range(t)]
+    alpha, x = _critical_lp(len(sizes), vectors, [sizes])
+    qstar = 1 / alpha
+    block_w = [w / alpha for w in x]
     if any(w < 0 for w in block_w):  # pragma: no cover - certificate guard
         raise InvariantError("negative weight in quota LP certificate")
-    scale = sum(sizes[j] * block_w[j] for j in range(t))
-    if scale <= 0:  # pragma: no cover - certificate guard
-        raise InvariantError("degenerate scaling in quota LP certificate")
-    block_w = [w / scale for w in block_w]
-    attained = min(
-        sum(vec[j] * block_w[j] for j in range(t)) for vec in vectors
-    )
+    if sum(map(mul, sizes, block_w)) != 1:  # pragma: no cover - certificate guard
+        raise InvariantError("quota LP certificate weights do not sum to one")
+    attained = min(sum(map(mul, vec, block_w)) for vec in vectors)
     if attained != qstar:  # pragma: no cover - certificate guard
         raise InvariantError("quota LP certificate does not attain optimum")
     estar = 1 - qstar
@@ -220,19 +211,32 @@ def lp_lower_bound(game: SimpleGame) -> Optional[int]:
     return max_quota_lp(game).nak_lower_bound
 
 
-# constraint-row cap for the player-level critical-threshold LP
+# cap on the winning plus losing vectors of the critical-threshold LP over a
+# game's view (one LP column each)
 _ALPHA_ROW_CAP = 3000
 
 
 def _critical_lp(width: int, winning, losing) -> tuple[Fraction, tuple]:
-    """Minimize alpha over ``width`` non-negative weights: every winning row
-    weighs at least 1, every losing row at most alpha."""
-    rows = [(list(v) + [0], ">=", 1) for v in winning]
-    rows += [(list(u) + [-1], "<=", 0) for u in losing]
-    res = lp.solve_lp([0] * width + [1], rows)
+    """The least alpha, with ``width`` non-negative weights attaining it,
+    such that every winning row weighs at least 1 and every losing row at
+    most alpha.
+
+    Solved as its dual, in the few-row orientation: ``width + 1`` rows and
+    one column per vector.  Maximize the mass on the winning vectors while
+    every weight's winning mass stays at or below its losing mass and the
+    losing mass at most 1.  The optimum is alpha and the duals of the
+    weight rows are the weights.
+    """
+    nw = len(winning)
+    rows = [
+        ([v[j] for v in winning] + [-u[j] for u in losing], "<=", 0)
+        for j in range(width)
+    ]
+    rows.append(([0] * nw + [1] * len(losing), "<=", 1))
+    res = lp.solve_lp([-1] * nw + [0] * len(losing), rows)
     if res.status != lp.OPTIMAL:  # pragma: no cover
         raise InvariantError(f"critical threshold LP unexpectedly {res.status}")
-    return res.objective, tuple(res.x[:width])
+    return -res.objective, tuple(-d for d in res.duals[:width])
 
 
 def alpha_critical(game: SimpleGame) -> Fraction:
@@ -250,27 +254,19 @@ def critical_rough_representation(
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """The critical threshold together with per-player weights attaining it.
 
-    Complete games are solved over one weight per class, which is lossless
-    for class-symmetric games; every other game over one weight per player,
-    with at most ``_ALPHA_ROW_CAP`` antichain rows.
+    Solved over one weight per block of the game's view, on its winning and
+    losing vectors, at most ``_ALPHA_ROW_CAP`` of them.  Nothing is lost:
+    the players of a block are interchangeable, so averaging an optimal
+    solution over each block gives an optimal one constant on blocks.
     """
     view = game.view
-    if view.source == "classes":
-        alpha, x = _critical_lp(len(view.sizes), view.winning, view.losing)
-        return alpha, view.per_player(x)
-    winning, losing = map(view.coalition_count, (view.winning, view.losing))
-    if winning + losing > _ALPHA_ROW_CAP:
+    count = len(view.winning) + len(view.losing)
+    if count > _ALPHA_ROW_CAP:
         raise CapacityError(
-            f"critical-threshold LP over {winning} + "
-            f"{losing} antichain rows exceeds {_ALPHA_ROW_CAP}"
+            f"critical-threshold LP over {count} vectors exceeds {_ALPHA_ROW_CAP}"
         )
-
-    def incidence(masks):
-        return [[(m >> i) & 1 for i in range(game.n)] for m in masks]
-
-    return _critical_lp(
-        game.n, incidence(game.min_winning), incidence(maximal_losing(game))
-    )
+    alpha, x = _critical_lp(len(view.sizes), view.winning, view.losing)
+    return alpha, view.per_player(x)
 
 
 def is_weighted_vectors(shift_min, losing) -> bool:
@@ -286,23 +282,22 @@ def is_weighted_vectors(shift_min, losing) -> bool:
     order: in a weighted game a more desirable player never has to weigh
     less (Taylor and Zwicker 1999).
 
-    The LP runs on the steps ``d_k = w_k - w_{k+1} >= 0`` (``w_{t+1} = 0``),
-    under which a vector weighs ``sum_k C_k d_k`` over its prefix sums
-    ``C``, so the order needs no rows.  A weighted verdict is certified in
-    integers by ``_check_ordered_certificate`` before it is returned.
+    The LP is ``_critical_lp`` on the steps ``d_k = w_k - w_{k+1} >= 0``
+    (``w_{t+1} = 0``), under which a vector weighs ``sum_k C_k d_k`` over
+    its prefix sums ``C``, so the order needs no rows.  A weighted verdict
+    is certified in integers by ``_check_ordered_certificate`` before it is
+    returned.
     """
-    t = len(shift_min[0])
-    rows = [([*accumulate(v), 0], ">=", 1) for v in shift_min]
-    rows += [([*accumulate(u), -1], "<=", 0) for u in losing]
-    res = lp.solve_lp([0] * t + [1], rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover - always feasible/bounded
-        raise InvariantError(f"ordered weight LP unexpectedly {res.status}")
-    if res.objective >= 1:
+    alpha, steps = _critical_lp(
+        len(shift_min[0]),
+        [prefix_sums(v) for v in shift_min],
+        [prefix_sums(u) for u in losing],
+    )
+    if alpha >= 1:
         return False
     # scaled by the common denominator of the steps, every row weighs at
     # least the scale and every losing vector at most alpha times it; the
     # class weights are the suffix sums of the scaled steps
-    steps = res.x[:t]
     quota = lcm(*(x.denominator for x in steps))
     scaled = (x.numerator * (quota // x.denominator) for x in reversed(steps))
     weights = list(accumulate(scaled))[::-1]

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from nakamura import lp
-from nakamura.bounds import BoundsReport, _ceil_frac, _critical_lp
+from nakamura.bounds import BoundsReport, _ceil_frac
 from nakamura.cutting import PatternSet
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import (
@@ -370,7 +370,41 @@ def oracle_alpha_critical_vectors(
     permutations: some optimal rough representation is then constant on
     classes, so restricting the LP to one weight per class loses nothing.
     """
-    return _critical_lp(len(class_sizes), winning, losing)[0]
+    return oracle_critical_lp(len(class_sizes), winning, losing)[0]
+
+
+def oracle_critical_lp(width: int, winning, losing) -> tuple[Fraction, tuple]:
+    """Minimize alpha over ``width`` non-negative weights: every winning row
+    weighs at least 1, every losing row at most alpha.
+
+    The primal orientation, one LP row per vector, on the ``Fraction``
+    tableau; returns alpha and the weights.
+    """
+    rows = [(list(v) + [0], ">=", 1) for v in winning]
+    rows += [(list(u) + [-1], "<=", 0) for u in losing]
+    res = oracle_solve_lp([0] * width + [1], rows)
+    assert res.status == OPTIMAL
+    return res.objective, tuple(res.x[:width])
+
+
+def oracle_max_quota_lp(sizes, vectors) -> tuple[Fraction, tuple]:
+    """The largest relative quota q* over non-negative block weights that
+    give the blocks of ``sizes`` total weight 1, with weights attaining it.
+
+    The matrix-game orientation on the ``Fraction`` tableau: minimize the
+    largest per-player mass ``v`` of a distribution over the minimal
+    winning ``vectors``; the weights are the duals of the block rows.
+    """
+    t, nv = len(sizes), len(vectors)
+    rows = [
+        ([vec[j] for vec in vectors] + [-sizes[j]], "<=", 0) for j in range(t)
+    ]
+    rows.append(([1] * nv + [0], "==", 1))
+    res = oracle_solve_lp([0] * nv + [1], rows)
+    assert res.status == OPTIMAL
+    block_w = [-res.duals[j] for j in range(t)]
+    scale = sum(n * w for n, w in zip(sizes, block_w))
+    return res.objective, tuple(w / scale for w in block_w)
 
 
 _ZERO = Fraction(0)

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     oracle_alpha_critical_vectors,
+    oracle_critical_lp,
+    oracle_max_quota_lp,
+    oracle_maximal_losing,
     random_vetoer_free,
     validate_alpha_roughly,
 )
@@ -12,14 +16,18 @@ from nakamura.bounds import (
     alpha_critical,
     alpha_roughly_bounds,
     cardinality_bounds,
+    critical_rough_representation,
     greedy_upper,
     max_quota_lp,
     weighted_bounds,
 )
+from nakamura.census import enumerate_complete
 from nakamura.exact import nakamura_exact
 from nakamura.games import (
     InvariantError,
+    SimpleGame,
     WeightedRep,
+    expand_complete,
     game_from_weighted,
     simple_game,
 )
@@ -262,19 +270,65 @@ def test_ordered_certificate_rejects_broken_certificates():
 
 
 def test_weighted_verdict_checks_its_certificate(monkeypatch):
-    from nakamura import lp
+    from nakamura import bounds
     from nakamura.bounds import is_weighted_vectors
 
     rows, losing = [(1, 1)], [(1, 0), (0, 2)]
     assert is_weighted_vectors(rows, losing)
     # steps (1, 0): class weights (1, 0), under which (1, 0) weighs as
     # much as the row
-    wrong = lp.LpResult(
-        lp.OPTIMAL, Fraction(1, 2), [Fraction(1), Fraction(0), Fraction(1, 2)]
-    )
-    monkeypatch.setattr(lp, "solve_lp", lambda costs, rows: wrong)
+    wrong = (Fraction(1, 2), (Fraction(1), Fraction(0)))
+    monkeypatch.setattr(bounds, "_critical_lp", lambda width, w, l: wrong)
     with pytest.raises(InvariantError):
         is_weighted_vectors(rows, losing)
+
+
+_COMPLETE_SMALL = [g for n in range(2, 6) for g in enumerate_complete(n)]
+
+
+@st.composite
+def view_games(draw):
+    """Games whose views have equal-weight groups, distinct weights,
+    complete classes, or one block per player (antichain only)."""
+    kind = draw(st.sampled_from(("grouped", "distinct", "complete", "antichain")))
+    if kind == "complete":
+        return expand_complete(draw(st.sampled_from(_COMPLETE_SMALL)))
+    if kind == "antichain":
+        n = draw(st.integers(2, 7))
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+        return SimpleGame(
+            n, [m for m in masks if not any(o != m and o & m == o for o in masks)]
+        )
+    if kind == "grouped":
+        groups = draw(st.lists(
+            st.tuples(st.integers(0, 9), st.integers(1, 4)), min_size=1, max_size=3
+        ))
+        weights = [w for w, k in groups for _ in range(k)]
+    else:
+        weights = draw(st.lists(st.integers(1, 20), min_size=2, max_size=7, unique=True))
+    weights = weights if any(weights) else [1, *weights]
+    return game_from_weighted(
+        WeightedRep(draw(st.integers(1, sum(weights))), weights)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(view_games())
+def test_view_lp_agrees_with_player_level_oracle(game):
+    # one weight per block of the view loses nothing against one weight per
+    # player over the expanded antichains
+    n = game.n
+
+    def incidence(masks):
+        return [[m >> i & 1 for i in range(n)] for m in masks]
+
+    winning = incidence(game.min_winning)
+    alpha, weights = critical_rough_representation(game)
+    assert alpha == oracle_critical_lp(
+        n, winning, incidence(oracle_maximal_losing(game))
+    )[0]
+    assert validate_alpha_roughly(game, weights, alpha)
+    assert max_quota_lp(game).optimum == oracle_max_quota_lp((1,) * n, winning)[0]
 
 
 def test_bound_sandwich(weighted_corpus):

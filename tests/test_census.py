@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import oracle_alpha_critical_vectors
+from conftest import oracle_alpha_critical_vectors, oracle_critical_lp
 from nakamura.census import (
     COMPLETE_R1,
     WEIGHTED_R1,
@@ -158,22 +158,17 @@ def test_weighted_filter_agrees_with_reproduction():
     # representation; reproduce via the critical-threshold weights
     from fractions import Fraction
 
-    from nakamura import lp as lp_mod
     from nakamura.games import WeightedRep, game_from_weighted
 
     for n in range(2, 11):
         for g in enumerate_r1(n):
-            winning = minimal_winning_vectors(g)
-            losing = maximal_losing_vectors(g)
-            t = len(g.class_sizes)
-            costs = [0] * t + [1]
-            rows = [(list(v) + [0], ">=", 1) for v in winning]
-            rows += [(list(u) + [-1], "<=", 0) for u in losing]
-            res = lp_mod.solve_lp(costs, rows)
-            alpha = res.objective
+            alpha, class_w = oracle_critical_lp(
+                len(g.class_sizes),
+                minimal_winning_vectors(g),
+                maximal_losing_vectors(g),
+            )
             if alpha >= 1:
                 continue
-            class_w = res.x[:t]
             weights = []
             for j, nj in enumerate(g.class_sizes):
                 weights.extend([class_w[j]] * nj)

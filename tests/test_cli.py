@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
 
 import pytest
 
-from nakamura import games
+from nakamura import bounds, games
 from nakamura.cli import main
 from nakamura.gamefiles import parse_game
 from nakamura.games import CapacityError, maximal_losing
@@ -12,6 +13,7 @@ from nakamura.games import CapacityError, maximal_losing
 EX2 = "weighted\nquota: 90\nweights: 9 9 9 9 9 9 9 9 9 9 2 2 2 2 1 1\n"
 VETO = "weighted\nquota: 3\nweights: 2 1 1\n"
 COMPLETE = "complete\nclasses: 10 10\nrow: 7 8\n"
+VECTORS4 = "weighted\nquota: 3\nweights: 2 1 1 1\n"
 CSP = "csp\nstock: 155\nlengths: 9 12 12 16 16 46 46 54 69 77 102\n"
 
 TABLE_1_TO_6 = """n,inf,2,3,4,5,6
@@ -296,6 +298,26 @@ def test_thirty_player_game_reads_only_the_view(argv, tmp_path, capsys, monkeypa
     assert report["game"]["min_winning_count"] == 51134417
     methods = {b["method"]: b for b in report["bounds"]}
     assert (methods["weighted"]["lower"], methods["weighted"]["upper"]) == ("3", "3")
+    # the critical LP runs on the view's vectors
+    rough = methods["alpha_roughly"]
+    assert (rough["lower"], rough["upper"], rough["alpha"]) == ("3", "3", "39/40")
+
+
+@pytest.mark.parametrize("cap,printed", [(4, True), (3, False)])
+def test_critical_lp_vector_cap(cap, printed, tmp_path, capsys, monkeypatch):
+    # [3; 2 1 1 1]: two winning and two losing vectors on its view
+    game = games.game_from_weighted(parse_game(VECTORS4))
+    assert len(game.view.winning) + len(game.view.losing) == 4
+    monkeypatch.setattr(bounds, "_ALPHA_ROW_CAP", cap)
+    if printed:
+        assert bounds.critical_rough_representation(game)[0] == Fraction(2, 3)
+    else:
+        with pytest.raises(CapacityError, match="over 4 vectors exceeds 3"):
+            bounds.critical_rough_representation(game)
+    code, out = run(capsys, "analyze", write(tmp_path, "g.game", VECTORS4), "--json")
+    assert code == 0
+    methods = [b["method"] for b in json.loads(out)["bounds"]]
+    assert ("alpha_roughly" in methods) == printed
 
 
 def test_conjectures_range(capsys):
