@@ -88,7 +88,7 @@ GOLDEN_RUNS = [
     ("csp", "analyze"),
     ("simple3", "analyze"),
     ("distinct8", "analyze"),  # alpha-roughly bound printed
-    ("wide18", "analyze"),  # critical LP over 3,000 rows: alpha skipped
+    ("wide18", "analyze"),  # weighted, 3,103 coalitions over 6 vectors: alpha printed
     ("generic15", "analyze"),  # simple game given only by its antichain
     ("groups19", "analyze"),  # weighted, four equal-weight groups: alpha printed
     ("cover11", "nakamura"),  # weighted, settled on its weights
