@@ -186,7 +186,7 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
     block_w = [w / alpha for w in x]
     if any(w < 0 for w in block_w):  # pragma: no cover - certificate guard
         raise InvariantError("negative weight in quota LP certificate")
-    if sum(map(mul, sizes, block_w)) != 1:  # pragma: no cover - certificate guard
+    if sum(map(mul, sizes, block_w)) != 1:  # pragma: no cover - guard
         raise InvariantError("quota LP certificate weights do not sum to one")
     attained = min(sum(map(mul, vec, block_w)) for vec in vectors)
     if attained != qstar:  # pragma: no cover - certificate guard
@@ -263,7 +263,8 @@ def critical_rough_representation(
     count = len(view.winning) + len(view.losing)
     if count > _ALPHA_ROW_CAP:
         raise CapacityError(
-            f"critical-threshold LP over {count} vectors exceeds {_ALPHA_ROW_CAP}"
+            f"critical-threshold LP over {count} vectors exceeds "
+            f"{_ALPHA_ROW_CAP}"
         )
     alpha, x = _critical_lp(len(view.sizes), view.winning, view.losing)
     return alpha, view.per_player(x)

@@ -278,7 +278,7 @@ def test_weighted_verdict_checks_its_certificate(monkeypatch):
     # steps (1, 0): class weights (1, 0), under which (1, 0) weighs as
     # much as the row
     wrong = (Fraction(1, 2), (Fraction(1), Fraction(0)))
-    monkeypatch.setattr(bounds, "_critical_lp", lambda width, w, l: wrong)
+    monkeypatch.setattr(bounds, "_critical_lp", lambda *args: wrong)
     with pytest.raises(InvariantError):
         is_weighted_vectors(rows, losing)
 
@@ -305,7 +305,9 @@ def view_games(draw):
         ))
         weights = [w for w, k in groups for _ in range(k)]
     else:
-        weights = draw(st.lists(st.integers(1, 20), min_size=2, max_size=7, unique=True))
+        weights = draw(
+            st.lists(st.integers(1, 20), min_size=2, max_size=7, unique=True)
+        )
     weights = weights if any(weights) else [1, *weights]
     return game_from_weighted(
         WeightedRep(draw(st.integers(1, sum(weights))), weights)
