@@ -4,17 +4,22 @@ For a composition ``(n_1, ..., n_t)`` of n, the admissible single rows are
 ``m_1 in 1..n_1``, ``m_j in 1..n_j - 1`` for the middle classes,
 ``m_t in 0..n_t - 1`` (and ``m_1 in 1..n_1`` alone when t = 1).  The
 Nakamura number of each such game comes from the prefix-sum closed form,
-infinite exactly when ``m_1 = n_1``.  The weighted subclass is selected by
-an LP over ordered class weights whose only rows are the game's
-shift-minimal winning rows and its shift-maximal losing vectors; every
-weighted verdict comes with integer class weights and a quota, checked on
-those vectors (``bounds.is_weighted_vectors``).
+infinite exactly when ``m_1 = n_1``.  That form reads only the prefix sums
+O of the class sizes and P of the row, so the complete census counts them
+by a forward DP over the classes, with state (O_j, O_j - P_j, running
+value, composition rank mod shards), and builds no game.  Only the weighted
+census builds games: its subclass is selected by an LP over ordered class
+weights whose only rows are the game's shift-minimal winning rows and its
+shift-maximal losing vectors; every weighted verdict comes with integer
+class weights and a quota, checked on those vectors
+(``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional
 
 from .bounds import is_weighted_vectors
@@ -34,19 +39,17 @@ WEIGHTED_CAP = 12
 
 
 def compositions(n: int, parts: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Compositions of n in (length, lexicographic) order."""
+    """Compositions of n in (length, lexicographic) order.
+
+    The t - 1 cut points of a t-part composition are its inner prefix sums;
+    cut tuples in lexicographic order give the compositions in the same
+    order.
+    """
     lengths = range(1, n + 1) if parts is None else [parts]
     for t in lengths:
-        yield from _compositions_len(n, t)
-
-
-def _compositions_len(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    if t == 1:
-        yield (n,)
-        return
-    for first in range(1, n - t + 2):
-        for rest in _compositions_len(n - first, t - 1):
-            yield (first,) + rest
+        for cuts in itertools.combinations(range(1, n), t - 1):
+            ends = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
 def _rows_r1(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -54,6 +57,15 @@ def _rows_r1(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         return ((m,) for m in range(1, sizes[0] + 1))
     middle = (range(1, nj) for nj in sizes[1:-1])
     return itertools.product(range(1, sizes[0] + 1), *middle, range(sizes[-1]))
+
+
+def _check_census_args(n: int, shards: int, shard: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    if not 0 <= shard < shards:
+        raise ValueError("shard index out of range")
 
 
 def enumerate_r1(
@@ -66,12 +78,7 @@ def enumerate_r1(
     running index is congruent to ``shard`` are produced, so shard outputs
     partition the full stream.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    if not 0 <= shard < shards:
-        raise ValueError("shard index out of range")
+    _check_census_args(n, shards, shard)
     for idx, sizes in enumerate(compositions(n)):
         if idx % shards != shard:
             continue
@@ -150,7 +157,14 @@ def census(
     shards: int = 1,
     shard: int = 0,
 ) -> CensusRow:
-    """Count single-row complete (or weighted) games per Nakamura value."""
+    """Count single-row complete (or weighted) games per Nakamura value.
+
+    Shard ``shard`` of ``shards`` counts the compositions whose running
+    index in ``compositions(n)`` is congruent to it.  The complete census
+    builds no game: ``_complete_r1_counts`` counts the prefix sums of class
+    sizes and row.  The weighted census builds each game of ``enumerate_r1``
+    for its LP verdict.
+    """
     if klass not in (COMPLETE_R1, WEIGHTED_R1):
         raise ValueError(f"unknown census class {klass!r}")
     limit = cap if cap is not None else (
@@ -160,13 +174,68 @@ def census(
         raise CapacityError(
             f"census for n={n} exceeds the configured cap of {limit}"
         )
+    _check_census_args(n, shards, shard)
+    if klass == COMPLETE_R1:
+        return CensusRow(n, klass, _complete_r1_counts(n, shards, shard))
     counts: dict = {}
     for g in enumerate_r1(n, shards=shards, shard=shard):
-        if klass == WEIGHTED_R1 and not is_weighted_complete(g):
-            continue
-        v = r1_value(g.class_sizes, g.shift_min[0])
-        counts[v] = counts.get(v, 0) + 1
+        if is_weighted_complete(g):
+            v = r1_value(g.class_sizes, g.shift_min[0])
+            counts[v] = counts.get(v, 0) + 1
     return CensusRow(n, klass, counts)
+
+
+def _complete_r1_counts(n: int, shards: int, shard: int) -> dict:
+    """Per-value counts of the single-row complete games in one shard, by a
+    forward DP over the classes of each class count t.
+
+    A state after class j is ``(O_j, O_j - P_j, v_j, r_j)``: the prefix sum
+    of the class sizes, its deficit over the row's, the running
+    ``max ceil(O_i / (O_i - P_i))`` (None once ``m_1 = n_1``, the deficit
+    then dropped so those states merge) and the composition's lexicographic
+    rank among the t-part ones, mod ``shards``.  A part ``a`` at j < t adds
+    ``sum(C(n - O_{j-1} - f - 1, t - j - 1) for f in 1..a-1)`` to the rank;
+    the last part is forced to ``n - O_{t-1}``.  Adding the
+    ``sum(C(n - 1, t' - 1) for t' < t)`` shorter compositions gives
+    ``enumerate_r1``'s running index, so each shard counts the same games.
+    """
+    counts: dict = {}
+    offset = 0  # running index of the first t-part composition
+    for t in range(1, n + 1):
+        states = {(0, 0, 0, 0): 1}
+        for j in range(1, t + 1):
+            left = t - j
+            nxt: dict = {}
+            for (o, d, v, r), c in states.items():
+                for a in range(1, n - o - left + 1) if left else (n - o,):
+                    o2 = o + a
+                    # the deficit a - m_j that the row entry adds
+                    if j == 1:
+                        lo, hi = 0, a  # m_1 in 1..n_1
+                    elif left:
+                        lo, hi = 1, a  # m_j in 1..n_j - 1
+                    else:
+                        lo, hi = 1, a + 1  # m_t in 0..n_t - 1
+                    if v is None:
+                        if hi > lo:
+                            key = (o2, 0, None, r)
+                            nxt[key] = nxt.get(key, 0) + c * (hi - lo)
+                    else:
+                        for e in range(lo, hi):
+                            if e == 0:
+                                key = (o2, 0, None, r)
+                            else:
+                                w = -(-o2 // (d + e))
+                                key = (o2, d + e, max(v, w), r)
+                            nxt[key] = nxt.get(key, 0) + c
+                    if left:
+                        r = (r + comb(n - o2 - 1, left - 1)) % shards
+            states = nxt
+        for (_, _, v, r), c in states.items():
+            if (offset + r) % shards == shard:
+                counts[v] = counts.get(v, 0) + c
+        offset += comb(n - 1, t - 1)
+    return counts
 
 
 def is_weighted_complete(g: CompleteGame) -> bool:

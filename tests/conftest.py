@@ -9,7 +9,8 @@ with no integer scaling.  The desirability classes have a second oracle,
 the exchange test over the minimal winning vectors merged by union-find,
 which reads no winning table.  Helpers that only tests call
 (``shift_minimal_vectors``, ``canonical_vector_form``,
-``trim_to_partition``, ``validate_alpha_roughly``) live here too.
+``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
+does the census oracle, which counts the games ``enumerate_r1`` builds.
 """
 
 import itertools
@@ -359,6 +360,18 @@ def oracle_r1_certificate(sizes, row):
             if all(x <= y for x, y in zip(s, total)):
                 return ("trade", (a, b), pair)
     raise AssertionError(f"no certificate for classes {sizes}, row {row}")
+
+
+def oracle_census_r1(n: int, shards: int = 1, shard: int = 0) -> dict:
+    """Per-value counts of the single-row complete census in one shard,
+    from the closed form on every game ``enumerate_r1`` builds."""
+    from nakamura.census import enumerate_r1, r1_value
+
+    counts: dict = {}
+    for g in enumerate_r1(n, shards=shards, shard=shard):
+        v = r1_value(g.class_sizes, g.shift_min[0])
+        counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 def oracle_alpha_critical_vectors(

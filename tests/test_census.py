@@ -1,9 +1,14 @@
+import importlib
 import itertools
 import random
 
 import pytest
 
-from conftest import oracle_alpha_critical_vectors, oracle_critical_lp
+from conftest import (
+    oracle_alpha_critical_vectors,
+    oracle_census_r1,
+    oracle_critical_lp,
+)
 from nakamura.census import (
     COMPLETE_R1,
     WEIGHTED_R1,
@@ -19,6 +24,7 @@ from nakamura.census import (
 from nakamura.exact import nakamura_complete, nakamura_exact
 from nakamura.games import (
     CapacityError,
+    CompleteGame,
     complete_from_parameters,
     expand_complete,
     maximal_losing_vectors,
@@ -203,6 +209,48 @@ def test_census_caps():
     census(13, COMPLETE_R1, cap=13)
 
 
+def test_complete_census_matches_oracle():
+    for n in range(1, 13):
+        assert census(n).counts == oracle_census_r1(n), n
+    # n = 1 and 2 have fewer compositions than most shard counts here
+    for shards in (2, 3, 5, 7):
+        for n in range(1, 11):
+            for shard in range(shards):
+                assert census(n, shards=shards, shard=shard).counts == (
+                    oracle_census_r1(n, shards, shard)
+                ), (n, shards, shard)
+
+
+def test_complete_census_builds_no_game(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complete census built a game")
+
+    # the package re-exports census(), which shadows the module's name
+    module = importlib.import_module("nakamura.census")
+    monkeypatch.setattr(module, "enumerate_r1", refuse)
+    monkeypatch.setattr(CompleteGame, "_trusted", refuse)
+    for n in range(1, 17):
+        assert census(n).total() == count_r1(n)
+    parts = [census(7, shards=3, shard=i) for i in range(3)]
+    assert sum(p.total() for p in parts) == count_r1(7)
+
+
+def test_census_totals_past_the_cap():
+    for n in range(1, 17):
+        assert count_r1(n) == 2**n - 1
+    assert census(24, cap=24).total() == 2**24 - 1
+
+
+def test_census_argument_errors():
+    for klass in (COMPLETE_R1, WEIGHTED_R1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            census(0, klass)
+        with pytest.raises(ValueError, match="^shards must be positive$"):
+            census(4, klass, shards=0)
+        with pytest.raises(ValueError, match="^shard index out of range$"):
+            census(4, klass, shards=3, shard=3)
+
+
 def test_shard_merge_associative():
     full = census(7)
     parts = [census(7, shards=3, shard=i) for i in range(3)]
@@ -250,3 +298,9 @@ def test_compositions_order():
         (1, 1, 2), (1, 2, 1), (2, 1, 1),
         (1, 1, 1, 1),
     ]
+    for n in range(1, 13):
+        comps = list(compositions(n))
+        keys = [(len(c), c) for c in comps]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(comps) == 2 ** (n - 1)
+        assert all(sum(c) == n for c in comps)

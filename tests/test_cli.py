@@ -187,6 +187,21 @@ def test_census_zero_shards_exit_code(capsys):
     assert err == "error: shards must be positive\n"
 
 
+def test_census_shard_out_of_range_exit_code(capsys):
+    argv = ["census", "7", "7", "complete_r1", "--shards", "3", "--shard", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: shard index out of range\n"
+
+
+def test_census_zero_players_exit_code(capsys):
+    assert main(["census", "0", "2", "complete_r1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: n must be positive\n"
+
+
 def test_family_command(tmp_path, capsys):
     out_path = tmp_path / "family.game"
     code, out = run(
