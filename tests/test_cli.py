@@ -98,15 +98,24 @@ GOLDEN_RUNS = [
     ("dense20", "nakamura"),  # weighted, 31,473 coalitions: weights settle
     ("search11", "nakamura"),  # weighted, cover search from the quota ceiling
     ("search18", "nakamura"),  # weighted, vectors search from the quota ceiling
+    ("csp", "csp-check"),
+    ("csp", "conjectures"),  # with the instance's round-up section
+    ("complete", "conjectures"),
+    ("veto", "conjectures"),  # a vetoer: z_C infinite
 ]
-GOLDEN_ARGS = {"analyze": ("--json", "json"), "nakamura": ("--witness", "txt")}
+GOLDEN_ARGS = {
+    "analyze": (("--json",), "json"),
+    "nakamura": (("--witness",), "txt"),
+    "csp-check": ((), "json"),
+    "conjectures": ((), "json"),
+}
 
 
 @pytest.mark.parametrize("name,command", GOLDEN_RUNS)
 def test_golden_output(name, command, capsys):
-    flag, ext = GOLDEN_ARGS[command]
+    flags, ext = GOLDEN_ARGS[command]
     expected = (GOLDEN / f"{name}.{command}.{ext}").read_bytes().decode()
-    code, out = run(capsys, command, str(GOLDEN / f"{name}.game"), flag)
+    code, out = run(capsys, command, str(GOLDEN / f"{name}.game"), *flags)
     assert code == 0
     assert out == expected
 
