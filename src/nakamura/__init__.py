@@ -54,15 +54,10 @@ from .bounds import (
 from .census import CensusRow, census, count_r1, enumerate_complete, enumerate_r1
 from .cutting import (
     CspInstance,
-    PatternSet,
     conjecture_roundup_probe,
     game_from_instance,
     instance_from_game,
-    patterns_from_game,
-    patterns_from_instance,
-    z_b,
     z_b_losing_cover,
-    z_c,
 )
 from .families import FamilySpec, construct_family, max_nakamura
 from .gamefiles import ParseError, parse_game, write_game

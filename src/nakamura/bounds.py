@@ -176,20 +176,23 @@ def max_quota_lp(game: SimpleGame) -> LpOutcome:
     the grand coalition as its only losing row: the least total weight
     ``alpha`` under which every minimal winning vector weighs at least 1 is
     ``1/q*``, and the block weights are ``x/alpha``.  Feasibility and
-    optimality of the returned pair are asserted exactly, so a wrong
-    certificate cannot escape.
+    optimality of the returned pair are checked exactly, in integers, so a
+    wrong certificate cannot escape.
     """
     view = game.view
     sizes, vectors = view.sizes, view.winning
     alpha, x = _critical_lp(len(sizes), vectors, [sizes])
     qstar = 1 / alpha
     block_w = [w / alpha for w in x]
-    if any(w < 0 for w in block_w):  # pragma: no cover - certificate guard
+    # the guards run in integers, on the block weights times ``scale``
+    scale = lcm(*(w.denominator for w in block_w))
+    scaled = [w.numerator * (scale // w.denominator) for w in block_w]
+    if any(w < 0 for w in scaled):
         raise InvariantError("negative weight in quota LP certificate")
-    if sum(map(mul, sizes, block_w)) != 1:  # pragma: no cover - guard
+    if sum(map(mul, sizes, scaled)) != scale:
         raise InvariantError("quota LP certificate weights do not sum to one")
-    attained = min(sum(map(mul, vec, block_w)) for vec in vectors)
-    if attained != qstar:  # pragma: no cover - certificate guard
+    attained = min(sum(map(mul, vec, scaled)) for vec in vectors)
+    if attained * qstar.denominator != qstar.numerator * scale:
         raise InvariantError("quota LP certificate does not attain optimum")
     estar = 1 - qstar
     delta = estar / (1 - estar) if estar != 1 else None

@@ -355,13 +355,20 @@ def cmd_family(args) -> int:
     return 0
 
 
+def _roundup_fields(roundup: dict) -> dict:
+    return {
+        "z_b": _fmt(roundup["z_b"]),
+        "z_c": _fmt(roundup["z_c"]),
+        "irup": roundup["irup"],
+        "mirup": roundup["mirup"],
+    }
+
+
 def cmd_csp_check(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, cutting.CspInstance):
         raise InvalidGameError("csp-check expects a csp record")
     game, _, rep = _as_game(obj)
-    result = nakamura_exact(game)
-    gpats = cutting.patterns_from_game(game)
     probe = cutting.conjecture_roundup_probe(game, obj)
     wb = bounds_mod.weighted_bounds(rep)
     payload = {
@@ -374,18 +381,13 @@ def cmd_csp_check(args) -> int:
             "quota": _fmt(rep.quota),
             "weights": [_fmt(w) for w in rep.weights],
         },
-        "nakamura": _fmt(result.value),
-        "z_b_game_patterns": _fmt(cutting.z_b(gpats)),
+        "nakamura": _fmt(probe["nakamura"]),
+        "z_b_game_patterns": _fmt(probe["nakamura"]),
         "z_c_game_patterns": _fmt(probe["z_c"]),
         "bounds": {"lower": _fmt(wb.lower), "upper": _fmt(wb.upper)},
         "roundup_bound": _fmt(probe["bound"]),
         "inside": probe["inside"],
-        "instance_roundup": {
-            "z_b": _fmt(probe["instance"]["z_b"]),
-            "z_c": _fmt(probe["instance"]["z_c"]),
-            "irup": probe["instance"]["irup"],
-            "mirup": probe["instance"]["mirup"],
-        },
+        "instance_roundup": _roundup_fields(probe["instance"]),
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -416,18 +418,14 @@ def cmd_conjectures(args) -> int:
     obj = _load(target)
     instance = obj if isinstance(obj, cutting.CspInstance) else None
     probe = cutting.conjecture_roundup_probe(_as_game(obj)[0], instance)
-    def show(v):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, (Fraction, int, type(None))):
-            return _fmt(v)
-        return v
-
-    printable = {k: show(v) for k, v in probe.items() if k != "instance"}
-    if "instance" in probe:
-        printable["instance"] = {
-            k: show(v) for k, v in probe["instance"].items()
-        }
+    printable = {
+        "nakamura": _fmt(probe["nakamura"]),
+        "z_c": _fmt(probe["z_c"]),
+        "bound": _fmt(probe["bound"]),
+        "inside": probe["inside"],
+    }
+    if instance is not None:
+        printable["instance"] = _roundup_fields(probe["instance"])
     print(json.dumps(printable, indent=2))
     return 0
 

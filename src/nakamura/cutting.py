@@ -2,42 +2,39 @@
 
 A 0/1 pattern is feasible for stock length L when its piece lengths fit.
 ``z_B`` asks for the fewest patterns whose multiset union covers every item
-exactly once; ``z_C`` is its LP relaxation.  Pattern sets here store only
-inclusion-maximal columns with subset closure understood: any over-covered
-item can be dropped from a pattern (closure), so the exact-partition optimum
-over the closed set equals the plain covering optimum over the maximal
-columns, and likewise for the LP.  That covering view is what the solvers
-below use.
+exactly once; ``z_C`` is its LP relaxation (Gilmore and Gomory 1961).  Any
+over-covered item can be dropped from a pattern, so both optima are the
+covering optima over the inclusion-maximal feasible patterns.
 
-The link to games: complements of winning coalitions of a vetoer-free game
-form a pattern set whose exact cover number is precisely the Nakamura
-number, and every cutting-stock instance with infeasible all-ones vector
-induces a weighted game whose losing coalitions are the feasible patterns.
+The link to games: an instance induces the weighted game
+``[total - stock; lengths]`` (``game_from_instance``), in which a pattern is
+feasible exactly when the complementary coalition wins.  The maximal
+feasible patterns are therefore the complements of the game's minimal
+winning coalitions, so ``z_B`` is the game's Nakamura number and ``z_C`` is
+``1/(1 - q*)`` for the optimum ``q*`` of the quota LP
+(``bounds.max_quota_lp``).  Both are read off the game's class view here;
+no pattern is ever listed.  The mask-level covering view (pattern sets,
+covers and the covering LP) lives on in the test oracles, which check these
+identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import Optional
 
-from . import lp
+from .bounds import max_quota_lp
 from .cover import min_cover
 from .exact import nakamura_exact
 from .games import (
     InvalidGameError,
-    InvariantError,
     SimpleGame,
     WeightedRep,
-    _complement,
-    _minimal_counts,
-    masks_with_vectors,
     maximal_losing,
     structure_flags,
 )
-
-MAX_ITEMS = 24
 
 
 @dataclass(frozen=True)
@@ -60,93 +57,6 @@ class CspInstance:
     @property
     def m(self) -> int:
         return len(self.lengths)
-
-
-@dataclass(frozen=True)
-class PatternSet:
-    """Maximal feasible 0/1 columns over ``m`` items (subset closure implied)."""
-
-    m: int
-    patterns: tuple[int, ...]
-
-
-def _scaled_integers(instance: CspInstance) -> tuple[int, list[int]]:
-    scale = lcm(
-        instance.stock.denominator, *(x.denominator for x in instance.lengths)
-    )
-    stock = int(instance.stock * scale)
-    lengths = [int(x * scale) for x in instance.lengths]
-    return stock, lengths
-
-
-def patterns_from_instance(instance: CspInstance) -> PatternSet:
-    """All inclusion-maximal feasible patterns of the instance.
-
-    Items longer than the stock admit no pattern at all and are rejected
-    with their (1-based) index.
-    """
-    if instance.m > MAX_ITEMS:
-        raise InvalidGameError(
-            f"explicit pattern enumeration capped at {MAX_ITEMS} items"
-        )
-    stock, lengths = _scaled_integers(instance)
-    for i, x in enumerate(lengths):
-        if x > stock:
-            raise InvalidGameError(f"item {i + 1} is longer than the stock")
-    # one group per item, longest first; a pattern is maximal feasible iff
-    # the items it leaves out are a minimal set reaching length total - stock
-    items = sorted(range(instance.m), key=lambda i: -lengths[i])
-    ones = [1] * instance.m
-    left_out = _minimal_counts(
-        [lengths[i] for i in items], ones, sum(lengths) - stock
-    )
-    vectors = [_complement(ones, d) for d in left_out]
-    masks = masks_with_vectors([(i,) for i in items], vectors)
-    return PatternSet(instance.m, tuple(sorted(masks)))
-
-
-def patterns_from_game(game: SimpleGame) -> PatternSet:
-    """Complements of the minimal winning coalitions as pattern columns.
-
-    These are the maximal columns among complements of all winning
-    coalitions, which is enough under subset closure.
-    """
-    grand = game.grand
-    return PatternSet(
-        game.n, tuple(sorted(grand & ~w for w in game.min_winning))
-    )
-
-
-def z_b(patterns: PatternSet) -> Optional[int]:
-    """Fewest columns covering every item; None when some item is uncovered.
-
-    With subset closure an optimal cover trims to an exact partition, so
-    this is the exact-partition optimum as well.
-    """
-    universe = (1 << patterns.m) - 1
-    chosen = min_cover(universe, patterns.patterns)
-    return None if chosen is None else len(chosen)
-
-
-def z_c(patterns: PatternSet) -> Optional[Fraction]:
-    """Exact rational optimum of the fractional covering relaxation."""
-    m = patterns.m
-    cols = patterns.patterns
-    if not cols:
-        return None
-    reach = 0
-    for c in cols:
-        reach |= c
-    if reach != (1 << m) - 1:
-        return None
-    costs = [1] * len(cols)
-    rows = []
-    for i in range(m):
-        rows.append(([(c >> i) & 1 for c in cols], ">=", 1))
-    res = lp.solve_lp(costs, rows)
-    if res.status != lp.OPTIMAL:  # pragma: no cover - covering LP is feasible
-        raise InvariantError(f"covering LP unexpectedly {res.status}")
-    return res.objective
 
 
 def game_from_instance(instance: CspInstance) -> WeightedRep:
@@ -208,30 +118,33 @@ def conjecture_roundup_probe(
     """Relate the exact value to the LP relaxation over complement columns.
 
     Reports the floor(z_C) + 1 comparison for the game and, when the game
-    came from a cutting-stock instance, the integer round-up status of that
-    instance (IRUP: z_B = ceil(z_C); MIRUP: z_B <= ceil(z_C) + 1).
+    came from the cutting-stock instance ``instance``, the integer round-up
+    status of that instance (IRUP: z_B = ceil(z_C); MIRUP: z_B <=
+    ceil(z_C) + 1).  z_B is the Nakamura number and z_C is ``1/(1 - q*)``,
+    infinite (None) exactly when a vetoer lets q* reach 1; the instance has
+    the same two numbers, since its maximal feasible patterns are the
+    complements of its game's minimal winning coalitions.  An item longer
+    than the stock fits no pattern and is rejected with its (1-based) index.
     """
+    if instance is not None:
+        for i, x in enumerate(instance.lengths):
+            if x > instance.stock:
+                raise InvalidGameError(f"item {i + 1} is longer than the stock")
     value = nakamura_exact(game).value
-    pats = patterns_from_game(game)
-    zc = z_c(pats)
+    estar = max_quota_lp(game).min_max_excess
+    zc = None if estar == 0 else 1 / estar
+    finite = value is not None and zc is not None
     report: dict = {
         "nakamura": value,
         "z_c": zc,
         "bound": None if zc is None else floor(zc) + 1,
-        "inside": None,
+        "inside": value <= floor(zc) + 1 if finite else None,
     }
-    if value is not None and zc is not None:
-        report["inside"] = value <= floor(zc) + 1
     if instance is not None:
-        ipats = patterns_from_instance(instance)
-        zb_i = z_b(ipats)
-        zc_i = z_c(ipats)
         report["instance"] = {
-            "z_b": zb_i,
-            "z_c": zc_i,
-            "irup": zb_i is not None and zc_i is not None and zb_i == ceil(zc_i),
-            "mirup": zb_i is not None
-            and zc_i is not None
-            and zb_i <= ceil(zc_i) + 1,
+            "z_b": value,
+            "z_c": zc,
+            "irup": finite and value == ceil(zc),
+            "mirup": finite and value <= ceil(zc) + 1,
         }
     return report

@@ -5,7 +5,9 @@ scan the antichain directly, dual antichains and desirability come from
 full 2^n sweeps (one of them over a numpy table of all 2^n coalitions), the
 Nakamura oracle enumerates coalition subsets, and the weightedness oracle
 checks its certificates on the whole count-vector lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
-with no integer scaling.  The desirability classes have a second oracle,
+with no integer scaling.  The cutting-stock oracles list an instance's or a
+game's maximal patterns as masks and solve ``z_B`` by ``min_cover`` and
+``z_C`` as a covering LP on that tableau.  The desirability classes have a second oracle,
 the exchange test over the minimal winning vectors merged by union-find,
 which reads no winning table.  Helpers that only tests call
 (``shift_minimal_vectors``, ``canonical_vector_form``,
@@ -16,6 +18,7 @@ does the census oracle, which counts the games ``enumerate_r1`` builds.
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Sequence
@@ -25,7 +28,8 @@ import pytest
 
 from nakamura import lp
 from nakamura.bounds import BoundsReport, _ceil_frac
-from nakamura.cutting import PatternSet
+from nakamura.cover import min_cover
+from nakamura.cutting import CspInstance
 from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import (
     DENSE_TABLE_CAP,
@@ -34,8 +38,11 @@ from nakamura.games import (
     PlayerClassification,
     SimpleGame,
     WeightedRep,
+    _complement,
+    _minimal_counts,
     desirability_vectors,
     game_from_weighted,
+    masks_with_vectors,
     maximal_losing,
     players_from_mask,
     shift_leq,
@@ -259,6 +266,91 @@ def canonical_vector_form(game: SimpleGame):
     """
     classes, complete, vectors = desirability_vectors(game)
     return tuple(len(c) for c in classes), tuple(sorted(vectors)), complete
+
+
+MAX_ITEMS = 24
+
+
+@dataclass(frozen=True)
+class PatternSet:
+    """Maximal feasible 0/1 columns over ``m`` items (subset closure implied)."""
+
+    m: int
+    patterns: tuple[int, ...]
+
+
+def _scaled_integers(instance: CspInstance) -> tuple[int, list[int]]:
+    scale = math.lcm(
+        instance.stock.denominator, *(x.denominator for x in instance.lengths)
+    )
+    stock = int(instance.stock * scale)
+    lengths = [int(x * scale) for x in instance.lengths]
+    return stock, lengths
+
+
+def patterns_from_instance(instance: CspInstance) -> PatternSet:
+    """All inclusion-maximal feasible patterns of the instance.
+
+    Items longer than the stock admit no pattern at all and are rejected
+    with their (1-based) index.
+    """
+    if instance.m > MAX_ITEMS:
+        raise InvalidGameError(
+            f"explicit pattern enumeration capped at {MAX_ITEMS} items"
+        )
+    stock, lengths = _scaled_integers(instance)
+    for i, x in enumerate(lengths):
+        if x > stock:
+            raise InvalidGameError(f"item {i + 1} is longer than the stock")
+    # one group per item, longest first; a pattern is maximal feasible iff
+    # the items it leaves out are a minimal set reaching length total - stock
+    items = sorted(range(instance.m), key=lambda i: -lengths[i])
+    ones = [1] * instance.m
+    left_out = _minimal_counts(
+        [lengths[i] for i in items], ones, sum(lengths) - stock
+    )
+    vectors = [_complement(ones, d) for d in left_out]
+    masks = masks_with_vectors([(i,) for i in items], vectors)
+    return PatternSet(instance.m, tuple(sorted(masks)))
+
+
+def patterns_from_game(game: SimpleGame) -> PatternSet:
+    """Complements of the minimal winning coalitions as pattern columns.
+
+    These are the maximal columns among complements of all winning
+    coalitions, which is enough under subset closure.
+    """
+    grand = game.grand
+    return PatternSet(
+        game.n, tuple(sorted(grand & ~w for w in game.min_winning))
+    )
+
+
+def z_b(patterns: PatternSet):
+    """Fewest columns covering every item; None when some item is uncovered.
+
+    With subset closure an optimal cover trims to an exact partition, so
+    this is the exact-partition optimum as well.
+    """
+    universe = (1 << patterns.m) - 1
+    chosen = min_cover(universe, patterns.patterns)
+    return None if chosen is None else len(chosen)
+
+
+def z_c(patterns: PatternSet):
+    """Exact rational optimum of the fractional covering relaxation, on the
+    ``Fraction`` tableau; None when some item is in no column."""
+    m = patterns.m
+    cols = patterns.patterns
+    reach = 0
+    for c in cols:
+        reach |= c
+    if reach != (1 << m) - 1:
+        return None
+    rows = [([(c >> i) & 1 for c in cols], ">=", 1) for i in range(m)]
+    res = oracle_solve_lp([1] * len(cols), rows)
+    assert res.status == OPTIMAL
+    return res.objective
 
 
 def trim_to_partition(patterns: PatternSet, chosen: Sequence[int]) -> list[int]:

@@ -38,6 +38,8 @@ from conftest import (
     dense_winning_table,
     game_from_table,
     oracle_r1_certificate,
+    patterns_from_game,
+    z_b,
 )
 from nakamura.bounds import (
     cardinality_bounds,
@@ -53,7 +55,7 @@ from nakamura.census import (
     count_r1,
     enumerate_r1,
 )
-from nakamura.cutting import CspInstance, game_from_instance, patterns_from_game, z_b
+from nakamura.cutting import CspInstance, game_from_instance
 from nakamura.exact import (
     nakamura_by_vectors,
     nakamura_complete,

@@ -209,6 +209,29 @@ def test_max_quota_certificate(weighted_corpus):
         assert attained == out.optimum
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ((Fraction(-1, 2), Fraction(1, 4)), "negative weight"),
+        ((Fraction(1, 2), Fraction(1, 3)), "do not sum to one"),
+        # the same total, moved from the light block to the heavy one
+        ((Fraction(3, 4), Fraction(1, 8)), "does not attain optimum"),
+    ],
+    ids=["negative", "one-weight", "moved-mass"],
+)
+def test_max_quota_certificate_guards(x, message, monkeypatch):
+    from nakamura import bounds
+
+    # [4; 2,2,1,1,1,1]: blocks of sizes (2, 4), alpha 2 with x = (1/2, 1/4)
+    game = weighted(4, 2, 2, 1, 1, 1, 1)
+    assert bounds._critical_lp(2, game.view.winning, [(2, 4)]) == (
+        2, (Fraction(1, 2), Fraction(1, 4)),
+    )
+    monkeypatch.setattr(bounds, "_critical_lp", lambda *args: (Fraction(2), x))
+    with pytest.raises(InvariantError, match=message):
+        max_quota_lp(game)
+
+
 def test_max_quota_dominates_given_representation(weighted_corpus):
     for rep, game in weighted_corpus[:200]:
         out = max_quota_lp(game)

@@ -263,6 +263,26 @@ def test_csp_check(tmp_path, capsys):
     assert payload["instance_roundup"]["mirup"] is True
 
 
+def test_csp_check_item_longer_than_stock_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "long.csp", "csp\nstock: 5\nlengths: 3 7\n")
+    assert main(["csp-check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: item 2 is longer than the stock\n"
+
+
+def test_csp_check_lists_no_patterns(tmp_path, capsys):
+    # 25 items: more than the 24 that listing every pattern as a mask
+    # could take
+    lengths = " ".join(["7"] * 9 + ["5"] * 8 + ["3"] * 8)
+    path = write(tmp_path, "i25.csp", f"csp\nstock: 20\nlengths: {lengths}\n")
+    code, out = run(capsys, "csp-check", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nakamura"] == payload["instance_roundup"]["z_b"] == "7"
+    assert payload["z_c_game_patterns"] == payload["instance_roundup"]["z_c"]
+
+
 def test_maxnak(capsys):
     code, out = run(capsys, "maxnak", "5", "2", "T")
     assert code == 0

@@ -1,26 +1,35 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
-from conftest import random_vetoer_free, trim_to_partition
+from conftest import (
+    PatternSet,
+    patterns_from_game,
+    patterns_from_instance,
+    random_rep,
+    random_simple_game,
+    random_vetoer_free,
+    trim_to_partition,
+    z_b,
+    z_c,
+)
+from nakamura import bounds
 from nakamura import lp as lp_mod
+from nakamura.census import enumerate_complete
 from nakamura.cutting import (
     CspInstance,
-    PatternSet,
     conjecture_roundup_probe,
     game_from_instance,
     instance_from_game,
-    patterns_from_game,
-    patterns_from_instance,
-    z_b,
     z_b_losing_cover,
-    z_c,
 )
 from nakamura.exact import nakamura_exact
 from nakamura.games import (
     InvalidGameError,
     WeightedRep,
+    expand_complete,
     game_from_weighted,
     maximal_losing,
     players_from_mask,
@@ -316,3 +325,76 @@ def test_probe_paper_instance_recorded():
 def test_prop9_identity_random(weighted_corpus):
     for rep, game in weighted_corpus[:60]:
         assert z_b(patterns_from_game(game)) == nakamura_exact(game).value
+
+
+# ---------------------------------------------------------------------------
+# the bridge on the class view against the mask-level oracles
+
+
+def _random_instance(rng):
+    """2 to 11 items, none longer than the stock, not all in one pattern;
+    lengths and stock share a random denominator."""
+    m = rng.randint(2, 11)
+    lengths = [rng.randint(1, 12) for _ in range(m)]
+    stock = rng.randint(max(lengths), sum(lengths) - 1)
+    d = rng.randint(1, 3)
+    return CspInstance(Fraction(stock, d), [Fraction(x, d) for x in lengths])
+
+
+def test_bridge_on_instances():
+    rng = random.Random(97)
+    for _ in range(80):
+        inst = _random_instance(rng)
+        game = game_from_weighted(game_from_instance(inst))
+        pats = patterns_from_instance(inst)
+        assert pats.patterns == tuple(
+            sorted(game.grand & ~w for w in game.min_winning)
+        )
+        zb, zc = z_b(pats), z_c(pats)
+        assert conjecture_roundup_probe(game, inst)["instance"] == {
+            "z_b": zb,
+            "z_c": zc,
+            "irup": zb == ceil(zc),
+            "mirup": zb <= ceil(zc) + 1,
+        }
+
+
+def _bridge_games(kind):
+    rng = random.Random(101)
+    if kind == "weighted":
+        return [game_from_weighted(random_rep(rng)) for _ in range(60)]
+    if kind == "antichain":
+        return [random_simple_game(rng) for _ in range(60)]
+    return [expand_complete(g) for n in range(1, 6) for g in enumerate_complete(n)]
+
+
+@pytest.mark.parametrize("kind", ["weighted", "antichain", "complete"])
+def test_bridge_on_games(kind):
+    # z_B is the Nakamura number and z_C is 1/(1 - q*), infinite exactly
+    # when a vetoer lets q* reach 1
+    for game in _bridge_games(kind):
+        pats = patterns_from_game(game)
+        zb, zc = z_b(pats), z_c(pats)
+        assert zb == nakamura_exact(game).value
+        estar = bounds.max_quota_lp(game).min_max_excess
+        assert (estar == 0) == (game.vetoer_mask() != 0)
+        assert zc == (None if estar == 0 else 1 / estar)
+        probe = conjecture_roundup_probe(game)
+        assert (probe["nakamura"], probe["z_c"]) == (zb, zc)
+
+
+def test_bridge_reverse_direction():
+    # the instance of a game has its maximal losing coalitions as patterns,
+    # so z_C is 1/alpha of the critical LP with the grand coalition as the
+    # only winning row
+    rng = random.Random(103)
+    checked = 0
+    while checked < 60:
+        rep = random_rep(rng)
+        qhat, what = rep.integral()
+        if qhat < 2 or 0 in what or max(what) >= qhat:
+            continue  # no instance, or an item longer than the stock
+        view = game_from_weighted(rep).view
+        alpha, _ = bounds._critical_lp(len(view.sizes), [view.sizes], view.losing)
+        assert z_c(patterns_from_instance(instance_from_game(rep))) == 1 / alpha
+        checked += 1
