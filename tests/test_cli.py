@@ -99,6 +99,7 @@ GOLDEN_RUNS = [
     ("search11", "nakamura"),  # weighted, cover search from the quota ceiling
     ("search18", "nakamura"),  # weighted, vectors search from the quota ceiling
     ("csp", "csp-check"),
+    ("csp24", "csp-check"),  # 24 items of three lengths: no pattern is listed
     ("csp", "conjectures"),  # with the instance's round-up section
     ("complete", "conjectures"),
     ("veto", "conjectures"),  # a vetoer: z_C infinite
