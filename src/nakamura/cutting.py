@@ -13,9 +13,8 @@ feasible patterns are therefore the complements of the game's minimal
 winning coalitions, so ``z_B`` is the game's Nakamura number and ``z_C`` is
 ``1/(1 - q*)`` for the optimum ``q*`` of the quota LP
 (``bounds.max_quota_lp``).  Both are read off the game's class view here;
-no pattern is ever listed.  The mask-level covering view (pattern sets,
-covers and the covering LP) lives on in the test oracles, which check these
-identities.
+no pattern is ever listed.  The test oracles list the patterns as masks and
+solve both covering programs on them to check these identities.
 """
 
 from __future__ import annotations

@@ -322,6 +322,18 @@ def test_probe_paper_instance_recorded():
     assert probe["instance"]["mirup"] is True
 
 
+def test_probe_rejects_item_longer_than_stock():
+    # an item exactly as long as the stock fits; half a unit more does not
+    fits = CspInstance(5, (3, 5))
+    probe = conjecture_roundup_probe(
+        game_from_weighted(game_from_instance(fits)), fits
+    )
+    assert probe["instance"]["z_b"] == 2
+    over = CspInstance(5, (3, Fraction(11, 2)))
+    with pytest.raises(InvalidGameError, match="^item 2 is longer than the stock$"):
+        conjecture_roundup_probe(game_from_weighted(game_from_instance(over)), over)
+
+
 def test_prop9_identity_random(weighted_corpus):
     for rep, game in weighted_corpus[:60]:
         assert z_b(patterns_from_game(game)) == nakamura_exact(game).value
