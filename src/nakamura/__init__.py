@@ -33,12 +33,10 @@ from .games import (
 from .exact import (
     NakamuraResult,
     SolveStats,
-    VectorIlpInstance,
     nakamura_by_vectors,
     nakamura_complete,
     nakamura_exact,
     nakamura_symmetric,
-    vector_instance,
     verify_witness,
 )
 from .bounds import (

@@ -280,8 +280,10 @@ def enumerate_complete(
             return True
 
         def grow(start: int) -> Iterator[CompleteGame]:
+            # rows come from the lattice (i) in decreasing lexicographic
+            # order (iv), pairwise incomparable (ii); separates() is (iii)
             if chosen and separates():
-                yield CompleteGame(sizes, tuple(chosen))
+                yield CompleteGame._trusted(sizes, tuple(chosen))
             for k in range(start, len(lattice)):
                 v = lattice[k]
                 if all(shift_incomparable(v, row) for row in chosen):

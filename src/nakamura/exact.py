@@ -10,15 +10,16 @@ by complements of minimal winning coalitions.
 alone: the quota ceiling ``ceil(w(N) / (w(N) - q))`` bounds the number from
 below and the rounds of the improved greedy that strips the heaviest
 players (``bounds.strip_rounds``) bound it from above, and when the two
-meet no coalition is listed.  Every other game is routed by its
-condensation.  With at most ``_COVER_SET_CAP`` minimal winning coalitions
-it solves that cover by branch and bound over bit masks
-(``cover.min_cover``).  Above the cap the game is condensed to count
-vectors over player classes (``vector_instance``).  When every class holds
-one player, the vectors are the coalitions, so they go to the same cover
-solver; otherwise ``nakamura_by_vectors`` solves the covering program over
-the classes.  ``nakamura_complete`` solves a complete game's prefix program
-straight from its parameters.
+meet no coalition is listed.  Every other game with at most
+``_COVER_SET_CAP`` minimal winning coalitions is solved as that cover by
+branch and bound over bit masks (``cover.min_cover``).  Larger antichains
+go to ``nakamura_by_vectors``, which condenses the game to count vectors
+over its view's blocks (the desirability classes when the view has one
+block per player).  When every class holds one player, the vectors are the
+coalitions, so they go to the same cover solver; otherwise it solves the
+covering program over the classes.  ``nakamura_complete`` solves a complete
+game's prefix program straight from its shift-minimal rows and builds the
+witness from the chosen rows directly.
 
 Every path starts from a root lower bound: the program's own ceiling
 (demand over the best single set or column) and, for a weighted game, the
@@ -33,7 +34,8 @@ the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import partial
+from itertools import compress, islice
 from operator import sub
 from typing import Optional, Sequence
 
@@ -137,10 +139,8 @@ def nakamura_exact(game: SimpleGame) -> NakamuraResult:
     Routing: a weighted game whose strip meets its quota ceiling is
     settled on its weights (path ``"weights"``), before any minimal winning
     vector is built.  Otherwise at most ``_COVER_SET_CAP`` minimal winning
-    coalitions go to branch and bound on the complement cover.  Larger
-    antichains are condensed to count vectors over player classes first; if
-    every class holds one player, the vectors are the coalitions and go to
-    the same cover solver, otherwise to ``nakamura_by_vectors``.
+    coalitions go to branch and bound on the complement cover, and larger
+    antichains to ``nakamura_by_vectors``.
 
     Root bound: the program's own ceiling and, for a weighted game, the
     quota ceiling of its view.  The greedy incumbent is returned when it
@@ -160,13 +160,7 @@ def nakamura_exact(game: SimpleGame) -> NakamuraResult:
         return _result(strip, SolveStats("weights", ceiling, "ceiling", "strip", 0))
     if view.coalition_count(view.winning) <= _COVER_SET_CAP:
         return _cover_result(game, game.min_winning, quota_lp=True)
-    inst = vector_instance(game)
-    if set(inst.class_sizes) == {1}:
-        # one player per class: each minimal winning vector is a coalition
-        bits = [1 << p for (p,) in inst.class_players]
-        masks = [sum(compress(bits, v)) for v in inst.vectors]
-        return _cover_result(game, masks)
-    return nakamura_by_vectors(inst, view)
+    return nakamura_by_vectors(game)
 
 
 def _root_bound(ceiling: Optional[int], comb: int) -> tuple[int, str]:
@@ -177,10 +171,10 @@ def _root_bound(ceiling: Optional[int], comb: int) -> tuple[int, str]:
     return comb, "comb"
 
 
-def _strip_meeting(view: Optional[ClassView], root_lb: int):
+def _strip_meeting(view: ClassView, root_lb: int):
     """The strip's coalitions on a ``"weights"`` view when their count meets
     ``root_lb``, else None."""
-    if view is None or view.quota is None:
+    if view.quota is None:
         return None
     rounds = bounds_mod.strip_rounds(view)
     return rounds if rounds is not None and len(rounds) <= root_lb else None
@@ -195,12 +189,14 @@ def _cover_result(
 ) -> NakamuraResult:
     """Branch and bound on the complement cover of the minimal winning
     masks ``winning``, with the quota-LP bound (when cheap) if
-    ``quota_lp``."""
+    ``quota_lp``.  Raises on a vetoer."""
     grand = game.grand
     complements = [grand & ~w for w in winning]
+    chosen = greedy_cover(grand, complements)
+    if chosen is None:
+        raise InvalidGameError("cover infeasible: the game has a vetoer")
     comb = -(-game.n // max(c.bit_count() for c in complements))
     root_lb, source = _root_bound(game.view.quota_ceiling, comb)
-    chosen = greedy_cover(grand, complements)
     counter = {"nodes": 0}
     if len(chosen) > root_lb:
         strip = _strip_meeting(game.view, root_lb)
@@ -217,47 +213,7 @@ def _cover_result(
 
 
 # ---------------------------------------------------------------------------
-# condensed solvers over count vectors
-
-
-@dataclass(frozen=True)
-class VectorIlpInstance:
-    """Covering program over player classes.
-
-    In the plain form, ``vectors`` are the componentwise-minimal winning
-    count vectors and the program demands that each class be dropped
-    ``class_sizes[j]`` times.  In the prefix form (complete games),
-    ``vectors`` are the shift-minimal rows and both coverage and demand are
-    taken over prefix sums.  ``class_players`` maps classes to 0-based
-    player indices; None means consecutive blocks.
-    """
-
-    class_sizes: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    prefix: bool = False
-    class_players: Optional[tuple[tuple[int, ...], ...]] = None
-
-
-def vector_instance(game: SimpleGame) -> VectorIlpInstance:
-    """Build the condensed instance from a game's minimal winning vectors.
-
-    Classes are the blocks of ``game.view`` (their members are
-    interchangeable, which is all the condensation needs); a view with one
-    block per player is first coarsened to the desirability partition.
-    """
-    view = game.view
-    players, vectors = view.blocks, view.winning
-    if view.source == "players":
-        classes, _, vectors = desirability_vectors(game)
-        players = tuple(tuple(p - 1 for p in cls) for cls in classes)
-    sizes = tuple(len(g) for g in players)
-    ordered = tuple(sorted(vectors, reverse=True))
-    return VectorIlpInstance(sizes, ordered, class_players=players)
-
-
-def instance_from_complete(g: CompleteGame) -> VectorIlpInstance:
-    """Prefix-sum instance of a complete game's shift-minimal rows."""
-    return VectorIlpInstance(g.class_sizes, g.shift_min, prefix=True)
+# covering programs over player classes
 
 
 def _greedy_columns(
@@ -379,145 +335,92 @@ def solve_covering_ilp(
     return best, best_x
 
 
-def _shift_into_coverage(
-    class_sizes: Sequence[int], vectors: list[list[int]]
-) -> list[list[int]]:
-    """Repair a prefix-feasible multiset of winning vectors into one whose
-    plain per-class coverage suffices.
+def _program_result(path, columns, demands, view: ClassView, witness):
+    """Solve a covering program over player classes exactly.
 
-    While some class h is dropped fewer than ``class_sizes[h]`` times, move
-    one member of class h to an earlier class in one of the vectors.  Each
-    move keeps every vector winning (prefix sums only grow) and keeps the
-    prefix coverage condition intact; the move chosen is the first one (by
-    vector index, then by closest earlier class) that does so.
+    The root bound is the program's own ceiling (each class's demand over
+    its largest column entry), raised to the quota ceiling of a
+    ``"weights"`` ``view``, whose strip is the answer when the greedy misses
+    that bound and the strip meets it.  Otherwise ``solve_covering_ilp``
+    runs from the greedy, and ``witness`` turns the chosen columns (one per
+    unit of multiplicity, in column order) into coalitions.  Raises if a
+    class can never be dropped (vetoer), which callers rule out beforehand.
     """
-    sizes = list(class_sizes)
-    t = len(sizes)
-    o = prefix_sums(sizes)
-
-    def prefix_ok(vecs) -> bool:
-        for i in range(t):
-            cov = sum(o[i] - prefix_sums(v)[i] for v in vecs)
-            if cov < o[i]:
-                return False
-        return True
-
-    guard = 0
-    limit = 4 * sum(sizes) * max(1, len(vectors)) * t + 16
-    while True:
-        guard += 1
-        if guard > limit:  # pragma: no cover - termination safety net
-            raise InvariantError("shift repair did not terminate")
-        deficit_at = -1
-        for h in range(t):
-            cov = sum(sizes[h] - v[h] for v in vectors)
-            if cov < sizes[h]:
-                deficit_at = h
-                break
-        if deficit_at < 0:
-            return vectors
-        h = deficit_at
-        moved = False
-        for v in vectors:
-            if v[h] <= 0:
-                continue
-            for g in range(h - 1, -1, -1):
-                if v[g] >= sizes[g]:
-                    continue
-                v[g] += 1
-                v[h] -= 1
-                if prefix_ok(vectors):
-                    moved = True
-                    break
-                v[g] -= 1
-                v[h] += 1
-            if moved:
-                break
-        if not moved:  # pragma: no cover - guaranteed by prefix feasibility
-            raise InvariantError("no admissible shift found")
-
-
-def _coalitions_from_vectors(
-    class_sizes: Sequence[int],
-    class_players: Optional[Sequence[Sequence[int]]],
-    vectors: Sequence[Sequence[int]],
-) -> list[int]:
-    """Coalition masks realizing the vectors with empty overall intersection.
-
-    Within each class the players still to be dropped are consumed in
-    ascending order, so the outcome is deterministic.  Requires the plain
-    coverage condition sum_i (n_j - v_i_j) >= n_j for every class j.
-    """
-    players = [sorted(g) for g in class_players or player_blocks(class_sizes)]
-    n = sum(class_sizes)
-    grand = 0
-    for g in players:
-        for p in g:
-            grand |= 1 << p
-    masks = [grand] * len(vectors)
-    for j, nj in enumerate(class_sizes):
-        pool = list(players[j])
-        for i, v in enumerate(vectors):
-            k = nj - v[j]
-            drop, pool = pool[:k], pool[k:]
-            for p in drop:
-                masks[i] &= ~(1 << p)
-    if any(m.bit_count() > n for m in masks):  # pragma: no cover
-        raise InvariantError("witness reconstruction out of range")
-    return masks
-
-
-def nakamura_by_vectors(
-    inst: VectorIlpInstance, view: Optional[ClassView] = None
-) -> NakamuraResult:
-    """Solve the condensed covering program exactly.
-
-    Plain form: choose winning vectors (with repetition) so that every class
-    j is dropped at least ``class_sizes[j]`` times; the optimal count is the
-    Nakamura number.  Prefix form: same over prefix sums of the shift-minimal
-    rows.  Raises if a class can never be dropped (vetoer), which callers
-    rule out beforehand.
-
-    The root bound is the program's own ceiling, raised to the quota
-    ceiling of ``view`` when that is the ``"weights"`` view the instance was
-    built from; its strip is then the incumbent when the greedy misses the
-    bound and the strip meets it.  Other views add nothing.
-    """
-    sizes = inst.class_sizes
-    if inst.prefix:
-        o = prefix_sums(sizes)
-        cols = [tuple(map(sub, o, prefix_sums(v))) for v in inst.vectors]
-        demands = o
-    else:
-        cols = [tuple(map(sub, sizes, v)) for v in inst.vectors]
-        demands = sizes
-    path = "complete" if inst.prefix else "vectors"
-    top = [max(c) for c in zip(*cols)]
+    top = [max(c) for c in zip(*columns)]
     if 0 in top:
-        raise InvalidGameError(
-            "covering program infeasible: the game has a vetoer"
-        )
+        raise InvalidGameError("covering program infeasible: the game has a vetoer")
     comb = max(-(-d // m) for d, m in zip(demands, top))
-    ceiling = view.quota_ceiling if view is not None else None
-    root_lb, source = _root_bound(ceiling, comb)
-    greedy = _greedy_columns(cols, demands)
+    root_lb, source = _root_bound(view.quota_ceiling, comb)
+    greedy = _greedy_columns(columns, demands)
     if sum(greedy) > root_lb:
         strip = _strip_meeting(view, root_lb)
         if strip is not None:
             return _result(strip, SolveStats(path, root_lb, source, "strip", 0))
     counter: dict = {}
     _, mult = solve_covering_ilp(
-        cols, demands, root_lb=root_lb, incumbent=greedy, stats=counter
+        columns, demands, root_lb=root_lb, incumbent=greedy, stats=counter
     )
     nodes = counter["nodes"]
     settled = "search" if nodes else "greedy"
-    chosen: list[list[int]] = []
-    for i, k in enumerate(mult):
-        chosen.extend(list(inst.vectors[i]) for _ in range(k))
-    if inst.prefix:
-        chosen = _shift_into_coverage(sizes, chosen)
-    masks = _coalitions_from_vectors(sizes, inst.class_players, chosen)
-    return _result(masks, SolveStats(path, root_lb, source, settled, nodes))
+    chosen = [col for col, k in zip(columns, mult) for _ in range(k)]
+    return _result(witness(chosen), SolveStats(path, root_lb, source, settled, nodes))
+
+
+def _coalitions_from_vectors(blocks, chosen) -> list[int]:
+    """One coalition per chosen column ``col``, dropping ``col[j]`` players
+    of class ``blocks[j]``; each class's players are dropped in ascending
+    order, so every player is dropped once the columns cover the class."""
+    masks = [sum(1 << p for block in blocks for p in block)] * len(chosen)
+    for j, block in enumerate(blocks):
+        pool = iter(sorted(block))
+        for i, col in enumerate(chosen):
+            for p in islice(pool, col[j]):
+                masks[i] &= ~(1 << p)
+    return masks
+
+
+def _prefix_witness(class_sizes, chosen) -> list[int]:
+    """One coalition per chosen prefix column ``O - P(row)`` of a complete
+    game, built as ``nakamura_complete`` describes."""
+    masks = [(1 << sum(class_sizes)) - 1] * len(chosen)
+    dropped = [0] * len(chosen)
+    for j, block in enumerate(player_blocks(class_sizes)):
+        for p in block:
+            i = next(
+                (i for i, col in enumerate(chosen) if col[j] > dropped[i]), None
+            )
+            if i is None:  # pragma: no cover - see ``nakamura_complete``
+                raise InvariantError(f"no chosen row has room for player {p}")
+            dropped[i] += 1
+            masks[i] &= ~(1 << p)
+    return masks
+
+
+def nakamura_by_vectors(game: SimpleGame) -> NakamuraResult:
+    """Solve a game's covering program over player classes exactly.
+
+    The classes are the blocks of ``game.view``, or the desirability classes
+    when the view has one block per player.  When every class holds one
+    player, the minimal winning count vectors are the coalitions and go to
+    the complement cover.  Otherwise the program chooses minimal winning
+    vectors ``v`` (with repetition) whose columns ``sizes - v`` drop every
+    class ``j`` at least ``sizes[j]`` times; the optimal count is the
+    Nakamura number (``_program_result``).  Within each class the witness
+    drops players in ascending order.  Raises on a vetoer.
+    """
+    view = game.view
+    blocks, vectors = view.blocks, view.winning
+    if view.source == "players":
+        classes, _, vectors = desirability_vectors(game)
+        blocks = tuple(tuple(p - 1 for p in cls) for cls in classes)
+    vectors = sorted(vectors, reverse=True)
+    if all(len(b) == 1 for b in blocks):
+        bits = [1 << p for (p,) in blocks]
+        return _cover_result(game, [sum(compress(bits, v)) for v in vectors])
+    sizes = tuple(map(len, blocks))
+    columns = [tuple(map(sub, sizes, v)) for v in vectors]
+    witness = partial(_coalitions_from_vectors, blocks)
+    return _program_result("vectors", columns, sizes, view, witness)
 
 
 def nakamura_complete(
@@ -526,9 +429,17 @@ def nakamura_complete(
     """Nakamura number straight from the complete-game parameterization.
 
     A witness needs at most 64 players.  Vetoer games (every row keeps the
-    strongest class full) are infinite.  With a single shift-minimal row the
-    optimum is the closed form ``max_i ceil(O_i / (O_i - P_i))`` over prefix
-    sums; otherwise the prefix covering program is solved exactly.
+    strongest class full) are infinite.  With ``O`` the prefix sums of the
+    class sizes and ``P`` those of a row, the prefix program chooses rows
+    (with repetition) whose columns ``O - P`` meet ``O`` in every class; one
+    row gives the closed form ``max_i ceil(O_i / (O_i - P_i))``.
+
+    The witness drops each player, strongest first, from the first chosen
+    row with room at the player's class ``j``: a row drops at most
+    ``O_j - P_j`` of the first ``O_j`` players, so its coalition dominates
+    the row and wins.  There is always room: the ``p`` players dropped
+    before player ``p`` (0-based) lie in classes up to ``j``, and full rows
+    would give ``p >= sum_i (O_j - P_ij) >= O_j > p``.
     """
     if g.n > 64 and want_witness:
         raise CapacityError("witness expansion needs at most 64 players")
@@ -538,7 +449,10 @@ def nakamura_complete(
         value = r1_value(g.class_sizes, g.shift_min[0])
         stats = SolveStats("complete", value, "closed_form", "closed_form", 0)
         return NakamuraResult(value, (), stats)
-    res = nakamura_by_vectors(instance_from_complete(g))
+    o = prefix_sums(g.class_sizes)
+    columns = [tuple(map(sub, o, prefix_sums(row))) for row in g.shift_min]
+    witness = partial(_prefix_witness, g.class_sizes)
+    res = _program_result("complete", columns, o, g.view, witness)
     if g.r == 1 and r1_value(g.class_sizes, g.shift_min[0]) != res.value:
         raise InvariantError(  # pragma: no cover - cross-check
             "closed form disagrees with covering program"

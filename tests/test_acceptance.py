@@ -60,7 +60,6 @@ from nakamura.exact import (
     nakamura_by_vectors,
     nakamura_complete,
     nakamura_exact,
-    vector_instance,
     verify_witness,
 )
 from nakamura.families import (
@@ -183,7 +182,7 @@ def test_03_parametric_family():
         assert result.value == 2 * k, k
         assert verify_witness(game, result.witness)
         assert weighted_bounds(rep).lower == 2 * k
-        assert nakamura_by_vectors(vector_instance(game)).value == 2 * k
+        assert nakamura_by_vectors(game).value == 2 * k
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(f"03 parametric-family k=1..3: PASS ({elapsed:.2f}s)")
@@ -198,7 +197,7 @@ def test_04_complete_prefix_program():
         g = complete_from_parameters(sizes, [row])
         assert nakamura_complete(g).value == expected
         expanded = expand_complete(g)
-        assert nakamura_by_vectors(vector_instance(expanded)).value == expected
+        assert nakamura_by_vectors(expanded).value == expected
     elapsed = time.monotonic() - start
     assert elapsed < 5
     report(f"04 complete-prefix-program: PASS ({elapsed:.2f}s)")

@@ -66,6 +66,17 @@ def test_enumerate_r1_games_are_valid():
             assert g == complete_from_parameters(g.class_sizes, g.shift_min)
 
 
+def test_enumerate_complete_games_are_valid():
+    # enumerate_complete builds its games without re-checking the parameters
+    counts = []
+    for n in range(1, 7):
+        games = list(enumerate_complete(n))
+        for g in games:
+            assert validate_complete_parameters(g.class_sizes, g.shift_min) == []
+        counts.append(len(games))
+    assert counts == [1, 3, 8, 25, 117, 1171]
+
+
 def test_enumeration_order_deterministic():
     games = list(enumerate_r1(3))
     assert [(g.class_sizes, g.shift_min[0]) for g in games] == [

@@ -32,7 +32,6 @@ from nakamura.exact import (
     nakamura_exact,
     nakamura_symmetric,
     solve_covering_ilp,
-    vector_instance,
     verify_witness,
 )
 from nakamura.games import (
@@ -121,7 +120,7 @@ def test_methods_agree():
     for _ in range(30):
         rep, game = random_vetoer_free(rng, n_max=9)
         cover = nakamura_exact(game)
-        vectors = nakamura_by_vectors(vector_instance(game))
+        vectors = nakamura_by_vectors(game)
         assert cover.value == vectors.value
         assert verify_witness(game, cover.witness)
         assert verify_witness(game, vectors.witness)
@@ -256,10 +255,9 @@ def test_covering_ilp_infeasible():
 
 def test_by_vectors_example():
     game = weighted(4, 2, 2, 1, 1, 1, 1)
-    inst = vector_instance(game)
-    assert inst.class_sizes == (2, 4)
-    assert inst.vectors == ((2, 0), (1, 2), (0, 4))
-    res = nakamura_by_vectors(inst)
+    assert game.view.sizes == (2, 4)
+    assert sorted(game.view.winning, reverse=True) == [(2, 0), (1, 2), (0, 4)]
+    res = nakamura_by_vectors(game)
     assert res.value == 2
     assert [players_from_mask(m) for m in res.witness] == [
         (1, 2), (3, 4, 5, 6),
@@ -269,7 +267,7 @@ def test_by_vectors_example():
 
 def test_by_vectors_two_class_game():
     game = weighted(7, 3, 3, 3, 1, 1, 1)
-    res = nakamura_by_vectors(vector_instance(game))
+    res = nakamura_by_vectors(game)
     assert res.value == 3
     assert verify_witness(game, res.witness)
 
@@ -277,15 +275,14 @@ def test_by_vectors_two_class_game():
 def test_by_vectors_symmetric_reduces_to_formula():
     for n, qhat in [(5, 3), (7, 4), (9, 6)]:
         game = weighted(qhat, *([1] * n))
-        inst = vector_instance(game)
-        assert inst.vectors == ((qhat,),)
-        assert nakamura_by_vectors(inst).value == ceil(n / (n - qhat))
+        assert sorted(game.view.winning, reverse=True) == [(qhat,)]
+        assert nakamura_by_vectors(game).value == ceil(n / (n - qhat))
 
 
 def test_by_vectors_rejects_vetoers():
     game = weighted(3, 2, 1, 1)
     with pytest.raises(InvalidGameError):
-        nakamura_by_vectors(vector_instance(game))
+        nakamura_by_vectors(game)
 
 
 def test_complete_prefix_program():
@@ -314,26 +311,26 @@ def test_consistency_triangle():
     from conftest import random_complete_games
     from nakamura.census import enumerate_complete
 
-    # exhaustive for up to five players, random complete games beyond
-    for n in range(2, 6):
+    def check(g):
+        expanded = expand_complete(g)
+        complete = nakamura_complete(g)
+        vectors = nakamura_by_vectors(expanded)
+        v2 = nakamura_exact(expanded).value
+        assert complete.value == v2 == vectors.value, (g.class_sizes, g.shift_min)
+        assert verify_witness(expanded, complete.witness), (g.class_sizes, g.shift_min)
+        assert len(complete.witness) == complete.value
+        assert len(vectors.witness) == vectors.value
+
+    # exhaustive for up to six players, random complete games beyond
+    for n in range(1, 7):
         for g in enumerate_complete(n):
-            if g.has_vetoers():
-                continue
-            expanded = expand_complete(g)
-            v1 = nakamura_complete(g).value
-            v2 = nakamura_exact(expanded).value
-            v3 = nakamura_by_vectors(vector_instance(expanded)).value
-            assert v1 == v2 == v3, (g.class_sizes, g.shift_min)
+            if not g.has_vetoers():
+                check(g)
     rng = random.Random(53)
-    for n in range(6, 15):
+    for n in range(7, 15):
         for g in random_complete_games(rng, n, 12):
-            if g.has_vetoers():
-                continue
-            expanded = expand_complete(g)
-            v1 = nakamura_complete(g).value
-            v2 = nakamura_exact(expanded).value
-            v3 = nakamura_by_vectors(vector_instance(expanded)).value
-            assert v1 == v2 == v3, (g.class_sizes, g.shift_min)
+            if not g.has_vetoers():
+                check(g)
 
 
 def test_replica_threshold_report():
@@ -449,16 +446,10 @@ def _complete_witness_ok(g, witness) -> bool:
 def _all_routes(game):
     """``nakamura_exact`` as routed, and with every game above the cover
     cap (the condensed cover or the vectors program), plus the vectors
-    program without and with the game's view."""
-    inst = vector_instance(game)
+    program called directly."""
     with mock.patch.object(exact, "_COVER_SET_CAP", 0):
         condensed = nakamura_exact(game)
-    return [
-        nakamura_exact(game),
-        condensed,
-        nakamura_by_vectors(inst),
-        nakamura_by_vectors(inst, game.view),
-    ]
+    return [nakamura_exact(game), condensed, nakamura_by_vectors(game)]
 
 
 _COMPLETE_SMALL = [
