@@ -92,6 +92,7 @@ GOLDEN_RUNS = [
     ("generic15", "analyze"),  # simple game given only by its antichain
     ("groups19", "analyze"),  # weighted, four equal-weight groups: alpha printed
     ("cover11", "nakamura"),  # weighted, settled on its weights
+    ("complete", "nakamura"),  # complete, four (7, 8) rows: the prefix witness
     ("prefix14", "nakamura"),  # complete, prefix program: greedy meets the root bound
     ("generic15", "nakamura"),  # simple game, 2,116 coalitions: vectors
     ("wide18", "nakamura"),  # weighted, 3,103 coalitions: weights settle
