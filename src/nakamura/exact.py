@@ -344,7 +344,7 @@ def _program_result(path, columns, demands, view: ClassView, witness):
     that bound and the strip meets it.  Otherwise ``solve_covering_ilp``
     runs from the greedy, and ``witness`` turns the chosen columns (one per
     unit of multiplicity, in column order) into coalitions.  Raises if a
-    class can never be dropped (vetoer), which callers rule out beforehand.
+    class can never be dropped (vetoer).
     """
     top = [max(c) for c in zip(*columns)]
     if 0 in top:

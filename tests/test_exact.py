@@ -280,9 +280,14 @@ def test_by_vectors_symmetric_reduces_to_formula():
 
 
 def test_by_vectors_rejects_vetoers():
-    game = weighted(3, 2, 1, 1)
-    with pytest.raises(InvalidGameError):
-        nakamura_by_vectors(game)
+    # player 1 vetoes both; in the second game every desirability class
+    # holds one player, so its vectors go to the cover
+    singletons = SimpleGame(5, tuple(
+        mask_from_players(c, 5) for c in [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
+    ))
+    for game in (weighted(3, 2, 1, 1), singletons):
+        with pytest.raises(InvalidGameError):
+            nakamura_by_vectors(game)
 
 
 def test_complete_prefix_program():
@@ -315,19 +320,19 @@ def test_consistency_triangle():
         expanded = expand_complete(g)
         complete = nakamura_complete(g)
         vectors = nakamura_by_vectors(expanded)
-        v2 = nakamura_exact(expanded).value
-        assert complete.value == v2 == vectors.value, (g.class_sizes, g.shift_min)
+        value = nakamura_exact(expanded).value
+        assert complete.value == value == vectors.value, (g.class_sizes, g.shift_min)
         assert verify_witness(expanded, complete.witness), (g.class_sizes, g.shift_min)
         assert len(complete.witness) == complete.value
         assert len(vectors.witness) == vectors.value
 
-    # exhaustive for up to six players, random complete games beyond
+    # exhaustive for up to six players, random complete games from six on
     for n in range(1, 7):
         for g in enumerate_complete(n):
             if not g.has_vetoers():
                 check(g)
     rng = random.Random(53)
-    for n in range(7, 15):
+    for n in range(6, 15):
         for g in random_complete_games(rng, n, 12):
             if not g.has_vetoers():
                 check(g)
