@@ -1,4 +1,4 @@
-"""Lower and upper bounds on the Nakamura number, plus the exact-rational LP.
+"""Lower and upper bounds on the Nakamura number and the one LP behind them.
 
 Bound families:
 
@@ -230,12 +230,16 @@ def _critical_lp(width: int, winning, losing) -> tuple[Fraction, tuple]:
     losing mass at most 1.  The optimum is alpha and the duals of the
     weight rows are the weights.
     """
+    # every row is ``<=`` with right-hand side 0 or 1 over integer count
+    # vectors, so the zero mass is feasible and ``lp.solve_lp``'s one-phase
+    # form suffices; the program is bounded because every winning vector
+    # is non-zero and the losing mass is at most 1
     nw = len(winning)
     rows = [
-        ([v[j] for v in winning] + [-u[j] for u in losing], "<=", 0)
+        ([v[j] for v in winning] + [-u[j] for u in losing], 0)
         for j in range(width)
     ]
-    rows.append(([0] * nw + [1] * len(losing), "<=", 1))
+    rows.append(([0] * nw + [1] * len(losing), 1))
     res = lp.solve_lp([-1] * nw + [0] * len(losing), rows)
     if res.status != lp.OPTIMAL:  # pragma: no cover
         raise InvariantError(f"critical threshold LP unexpectedly {res.status}")

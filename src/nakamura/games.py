@@ -168,11 +168,6 @@ class WeightedRep:
         """Smallest integral multiple ``(qhat, what)`` of this representation."""
         return self._integral
 
-    def normalized(self) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Representation ``(q', w')`` scaled so that the weights sum to 1."""
-        s = self.total
-        return self.quota / s, tuple(w / s for w in self.weights)
-
     @cached_property
     def view(self) -> "ClassView":
         """The game's ``ClassView``, built on first use."""

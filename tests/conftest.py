@@ -4,12 +4,13 @@ The oracles deliberately avoid the library's own fast paths: winning tests
 scan the antichain directly, dual antichains and desirability come from
 full 2^n sweeps (one of them over a numpy table of all 2^n coalitions), the
 Nakamura oracle enumerates coalition subsets, and the weightedness oracle
-checks its certificates on the whole count-vector lattice.  The LP oracle is the two-phase simplex on a ``Fraction`` tableau,
-with no integer scaling.  The cutting-stock oracles list an instance's or a
-game's maximal patterns as masks and solve ``z_B`` by ``min_cover`` and
-``z_C`` as a covering LP on that tableau.  The desirability classes have a second oracle,
-the exchange test over the minimal winning vectors merged by union-find,
-which reads no winning table.  Helpers that only tests call
+checks its certificates on the whole count-vector lattice.  The LP oracle is
+the general two-phase simplex on a ``Fraction`` tableau; it takes the ``>=``
+and ``==`` rows that ``lp.solve_lp`` does not.  The cutting-stock oracles
+list an instance's or a game's maximal patterns as masks and solve ``z_B``
+by ``min_cover`` and ``z_C`` as a covering LP on that tableau.  The
+desirability classes have a second oracle, the exchange test over the
+minimal winning vectors merged by union-find, which reads no winning table.  Helpers that only tests call
 (``shift_minimal_vectors``, ``canonical_vector_form``,
 ``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
 does the census oracle, which counts the games ``enumerate_r1`` builds.
@@ -30,7 +31,7 @@ from nakamura import lp
 from nakamura.bounds import BoundsReport, _ceil_frac
 from nakamura.cover import min_cover
 from nakamura.cutting import CspInstance
-from nakamura.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from nakamura.lp import OPTIMAL, UNBOUNDED, LpResult
 from nakamura.games import (
     DENSE_TABLE_CAP,
     CapacityError,
@@ -425,12 +426,20 @@ def oracle_r1_certificate(sizes, row):
         and all(win[moved(c, j, 1)] for j in range(t) if c[j] < sizes[j])
     ]
 
-    rows = [(list(v) + [0], ">=", 1) for v in minimal]
-    rows += [(list(u) + [-1], "<=", 0) for u in maximal]
-    proposal = lp.solve_lp([0] * t + [1], rows)
-    if proposal.objective < 1:
-        scale = math.lcm(*(x.denominator for x in proposal.x[:t]))
-        weights = tuple(int(x * scale) for x in proposal.x[:t])
+    # the critical threshold in its few-row dual form: maximize the mass on
+    # the minimal vectors, each class's winning mass at most its losing
+    # mass, the losing mass at most 1; alpha is the optimum and the class
+    # weights are minus the duals of the class rows
+    rows = [
+        ([v[j] for v in minimal] + [-u[j] for u in maximal], 0)
+        for j in range(t)
+    ]
+    rows.append(([0] * len(minimal) + [1] * len(maximal), 1))
+    proposal = lp.solve_lp([-1] * len(minimal) + [0] * len(maximal), rows)
+    if -proposal.objective < 1:
+        proposed = [-y for y in proposal.duals[:t]]
+        scale = math.lcm(*(x.denominator for x in proposed))
+        weights = tuple(int(x * scale) for x in proposed)
 
         def weigh(c):
             return sum(w * x for w, x in zip(weights, c))
@@ -514,15 +523,21 @@ def oracle_max_quota_lp(sizes, vectors) -> tuple[Fraction, tuple]:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+INFEASIBLE = "infeasible"
 
 
 def oracle_solve_lp(
     costs: Sequence, rows: Sequence[tuple[Sequence, str, object]]
 ) -> LpResult:
-    """``lp.solve_lp`` on a ``Fraction`` tableau: the reference it must equal.
+    """The general reference LP: a two-phase simplex on a ``Fraction``
+    tableau.
 
-    The same two-phase simplex and Bland's rule, pivoting in rationals with
-    no scaling, so status, objective, solution and duals must agree exactly.
+    Rows are ``(coeffs, rel, rhs)`` with ``rel`` one of ``"<="``, ``">="``,
+    ``"=="`` and rational data of any sign; the status may be
+    ``INFEASIBLE``.  It pivots in rationals with no scaling, by Bland's
+    rule, so on ``<=`` rows with non-negative right-hand sides (and integer
+    data) it must equal ``lp.solve_lp`` exactly: status, objective,
+    solution and duals.
     """
     n = len(costs)
     costs = [Fraction(c) for c in costs]
