@@ -335,7 +335,7 @@ def solve_covering_ilp(
     return best, best_x
 
 
-def _program_result(path, columns, demands, view: ClassView, witness):
+def _program_result(path, columns, demands, view: Optional[ClassView], witness):
     """Solve a covering program over player classes exactly.
 
     The root bound is the program's own ceiling (each class's demand over
@@ -343,27 +343,33 @@ def _program_result(path, columns, demands, view: ClassView, witness):
     ``"weights"`` ``view``, whose strip is the answer when the greedy misses
     that bound and the strip meets it.  Otherwise ``solve_covering_ilp``
     runs from the greedy, and ``witness`` turns the chosen columns (one per
-    unit of multiplicity, in column order) into coalitions.  Raises if a
+    unit of multiplicity, in column order) into coalitions.  A ``view`` of
+    None has neither ceiling nor strip (a complete game's), and a
+    ``witness`` of None returns the value with no coalitions.  Raises if a
     class can never be dropped (vetoer).
     """
     top = [max(c) for c in zip(*columns)]
     if 0 in top:
         raise InvalidGameError("covering program infeasible: the game has a vetoer")
     comb = max(-(-d // m) for d, m in zip(demands, top))
-    root_lb, source = _root_bound(view.quota_ceiling, comb)
+    ceiling = view.quota_ceiling if view is not None else None
+    root_lb, source = _root_bound(ceiling, comb)
     greedy = _greedy_columns(columns, demands)
-    if sum(greedy) > root_lb:
+    if view is not None and sum(greedy) > root_lb:
         strip = _strip_meeting(view, root_lb)
         if strip is not None:
             return _result(strip, SolveStats(path, root_lb, source, "strip", 0))
     counter: dict = {}
-    _, mult = solve_covering_ilp(
+    value, mult = solve_covering_ilp(
         columns, demands, root_lb=root_lb, incumbent=greedy, stats=counter
     )
     nodes = counter["nodes"]
     settled = "search" if nodes else "greedy"
+    stats = SolveStats(path, root_lb, source, settled, nodes)
+    if witness is None:
+        return NakamuraResult(value, (), stats)
     chosen = [col for col, k in zip(columns, mult) for _ in range(k)]
-    return _result(witness(chosen), SolveStats(path, root_lb, source, settled, nodes))
+    return _result(witness(chosen), stats)
 
 
 def _coalitions_from_vectors(blocks, chosen) -> list[int]:
@@ -439,7 +445,9 @@ def nakamura_complete(
     ``O_j - P_j`` of the first ``O_j`` players, so its coalition dominates
     the row and wins.  There is always room: the ``p`` players dropped
     before player ``p`` (0-based) lie in classes up to ``j``, and full rows
-    would give ``p >= sum_i (O_j - P_ij) >= O_j > p``.
+    would give ``p >= sum_i (O_j - P_ij) >= O_j > p``.  With
+    ``want_witness=False`` the value is the sum of the program's
+    multiplicities (one row: the closed form) and no coalition is built.
     """
     if g.n > 64 and want_witness:
         raise CapacityError("witness expansion needs at most 64 players")
@@ -451,8 +459,9 @@ def nakamura_complete(
         return NakamuraResult(value, (), stats)
     o = prefix_sums(g.class_sizes)
     columns = [tuple(map(sub, o, prefix_sums(row))) for row in g.shift_min]
-    witness = partial(_prefix_witness, g.class_sizes)
-    res = _program_result("complete", columns, o, g.view, witness)
+    witness = partial(_prefix_witness, g.class_sizes) if want_witness else None
+    # a complete game's view has no quota ceiling and no strip: none is built
+    res = _program_result("complete", columns, o, None, witness)
     if g.r == 1 and r1_value(g.class_sizes, g.shift_min[0]) != res.value:
         raise InvariantError(  # pragma: no cover - cross-check
             "closed form disagrees with covering program"

@@ -27,7 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import ceil
+from operator import and_
 from typing import Iterator, Optional, Union
 
 from .games import (
@@ -41,6 +43,7 @@ from .games import (
     simple_game,
 )
 from .census import enumerate_complete, is_weighted_complete
+from .cover import greedy_cover
 from .exact import nakamura_complete, nakamura_exact
 
 CLASS_SIMPLE = "S"
@@ -250,6 +253,19 @@ def max_nakamura(
 
     Exhaustive mode is guaranteed for n <= 5 (S) and n <= 6 (C, T);
     construction mode returns the best catalog lower bound instead.
+
+    The exhaustive search keeps the first game, in enumeration order, whose
+    value is strictly greater than the best found so far (the incumbent),
+    and skips every game that cannot be that, before the costly steps run.
+    A simple game is tested for vetoers on its own antichain, then bounded
+    from above: a greedy cover of the player set by k complements of
+    minimal winning coalitions is k winning coalitions with empty
+    intersection, so its value is at most k, and a game with k <= incumbent
+    is skipped before its view, desirability classes and exact value are
+    computed.  A complete game's value is solved first, and only a game that
+    beats the incumbent is tested for weightedness (class T).  A skipped
+    game could never have replaced the incumbent, so the value, the
+    ``exact`` flag and the witness are those of the unpruned search.
     """
     if klass not in (CLASS_SIMPLE, CLASS_COMPLETE, CLASS_WEIGHTED):
         raise ValueError(f"unknown game class {klass!r}")
@@ -270,8 +286,14 @@ def max_nakamura(
     best: Optional[int] = None
     arg = None
     if klass == CLASS_SIMPLE:
+        grand = (1 << n) - 1
         for game in all_simple_games(n):
-            if game.vetoer_mask():
+            ms = game.min_winning
+            if reduce(and_, ms, grand):
+                continue  # a vetoer
+            if best is not None and len(
+                greedy_cover(grand, [grand & ~m for m in ms])
+            ) <= best:
                 continue
             classes, _ = desirability_classes(game)
             if len(classes) != t:
@@ -283,11 +305,12 @@ def max_nakamura(
         for g in enumerate_complete(n, parts=t):
             if g.has_vetoers():
                 continue
+            value = nakamura_complete(g, want_witness=False).value
+            if best is not None and value <= best:
+                continue
             if klass == CLASS_WEIGHTED and not is_weighted_complete(g):
                 continue
-            value = nakamura_complete(g, want_witness=False).value
-            if best is None or value > best:
-                best, arg = value, g
+            best, arg = value, g
     return MaxNakResult(best, True, arg)
 
 

@@ -13,9 +13,11 @@ desirability classes have a second oracle, the exchange test over the
 minimal winning vectors merged by union-find, which reads no winning table.  Helpers that only tests call
 (``shift_minimal_vectors``, ``canonical_vector_form``,
 ``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
-does the census oracle, which counts the games ``enumerate_r1`` builds.
+does the census oracle, which counts the games ``enumerate_r1`` builds, and
+the unpruned exhaustive search for the maximum Nakamura number.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -473,6 +475,44 @@ def oracle_census_r1(n: int, shards: int = 1, shard: int = 0) -> dict:
         v = r1_value(g.class_sizes, g.shift_min[0])
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+@functools.cache
+def oracle_max_nakamura(n: int, klass: str) -> dict:
+    """The unpruned exhaustive search behind ``max_nakamura``, for every
+    class count at once: ``{t: (value, witness)}`` for each t that some
+    vetoer-free game of the class (``"S"``, ``"C"`` or ``"T"``) reaches.
+
+    One enumeration per ``(n, klass)``: every vetoer-free game is
+    classified (and, for ``"T"``, tested for weightedness) and solved, and
+    the first game in enumeration order whose value strictly beats its
+    class count's best so far is kept.
+    """
+    from nakamura.census import enumerate_complete, is_weighted_complete
+    from nakamura.exact import nakamura_complete, nakamura_exact
+    from nakamura.families import all_simple_games
+    from nakamura.games import desirability_classes
+
+    best: dict = {}
+
+    def record(t, value, game):
+        if t not in best or value > best[t][0]:
+            best[t] = (value, game)
+
+    if klass == "S":
+        for game in all_simple_games(n):
+            if game.vetoer_mask():
+                continue
+            classes, _ = desirability_classes(game)
+            record(len(classes), nakamura_exact(game).value, game)
+    else:
+        for g in enumerate_complete(n):
+            if g.has_vetoers():
+                continue
+            if klass == "T" and not is_weighted_complete(g):
+                continue
+            record(g.t, nakamura_complete(g, want_witness=False).value, g)
+    return best
 
 
 def oracle_alpha_critical_vectors(

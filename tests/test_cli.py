@@ -292,6 +292,29 @@ def test_maxnak(capsys):
 
 
 @pytest.mark.parametrize(
+    "args,expected",
+    [
+        pytest.param(
+            "5 3 S",
+            "4 (exact maximum)\nsimple\nplayers: 5\n"
+            "1 2 3\n1 2 4\n1 3 4\n2 3 4 5\n",
+            id="5-3-S",
+        ),
+        pytest.param(
+            "6 3 T",
+            "5 (exact maximum)\ncomplete\nclasses: 1 4 1\n"
+            "row: 1 3 0\nrow: 0 4 1\n",
+            id="6-3-T",
+        ),
+    ],
+)
+def test_maxnak_prints_the_first_witness(args, expected, capsys):
+    # the witness is the first game, in enumeration order, to reach the
+    # maximum
+    assert run(capsys, "maxnak", *args.split()) == (0, expected)
+
+
+@pytest.mark.parametrize(
     "args,kind",
     [
         # no catalog construction for t = 5

@@ -584,6 +584,16 @@ def test_solve_stats_record_path_bound_and_settlement():
     assert NakamuraResult(3, (1, 2, 4), closed) == NakamuraResult(3, (1, 2, 4))
 
 
+def test_complete_value_alone_builds_no_coalition_or_view():
+    # two rows: the value comes from the prefix program's multiplicities
+    g = complete_from_parameters((1, 3), [(1, 1), (0, 3)])
+    res = nakamura_complete(g, want_witness=False)
+    assert (res.value, res.witness) == (3, ())
+    assert res.stats == nakamura_complete(g).stats
+    assert res.stats == SolveStats("complete", 2, "comb", "search", 4)
+    assert "view" not in vars(g)
+
+
 def _greedy_trap(fillers: int):
     """A covering program whose greedy takes 3 columns where 2 suffice,
     behind ``fillers`` empty columns that the search walks through."""

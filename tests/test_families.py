@@ -1,9 +1,13 @@
 import pytest
 
-from conftest import canonical_vector_form
+from conftest import canonical_vector_form, oracle_max_nakamura
+from nakamura import families
+from nakamura.census import enumerate_complete, is_weighted_complete
 from nakamura.exact import nakamura_exact
 from nakamura.families import (
+    EXHAUSTIVE_CAP,
     FamilySpec,
+    MaxNakResult,
     all_simple_games,
     conjecture_band_probe,
     construct_family,
@@ -132,6 +136,37 @@ def test_max_nakamura_classes_agree_small():
         vc = max_nakamura(n, t, "C").value
         vs = max_nakamura(n, t, "S").value
         assert vt == vc == vs
+
+
+@pytest.mark.parametrize(
+    "klass,n",
+    [(k, n) for k in "SCT" for n in range(1, EXHAUSTIVE_CAP[k] + 1)],
+)
+def test_max_nakamura_matches_unpruned_search(klass, n):
+    # the incumbent prune must keep the value and the first witness
+    best = oracle_max_nakamura(n, klass)
+    for t in range(1, n + 1):
+        value, witness = best.get(t, (None, None))
+        res = max_nakamura(n, t, klass)
+        assert (res.value, res.exact, res.witness) == (value, True, witness), t
+
+
+def test_max_nakamura_never_keeps_an_unweighted_incumbent(monkeypatch):
+    # On at most six players the first complete game to reach each maximum
+    # is weighted, so the search above cannot tell whether a game that is
+    # not weighted ever became the incumbent.  Fed only those games, the T
+    # search must find none, while the C search finds them.
+    def unweighted(n, parts=None):
+        for g in enumerate_complete(n, parts):
+            if not is_weighted_complete(g):
+                yield g
+
+    monkeypatch.setattr(families, "enumerate_complete", unweighted)
+    found = 0
+    for t in range(1, 7):
+        assert max_nakamura(6, t, "T") == MaxNakResult(None, True)
+        found += max_nakamura(6, t, "C").value is not None
+    assert found
 
 
 def test_max_nakamura_cap():
