@@ -7,19 +7,17 @@ Nakamura number of each such game comes from the prefix-sum closed form,
 infinite exactly when ``m_1 = n_1``.  That form reads only the prefix sums
 O of the class sizes and P of the row, so the complete census counts them
 by a forward DP over the classes, with state (O_j, O_j - P_j, running
-value, composition rank mod shards), and builds no game.  Only the weighted
-census builds games: its subclass is selected by an LP over ordered class
-weights whose only rows are the game's shift-minimal winning rows and its
-shift-maximal losing vectors; every weighted verdict comes with integer
-class weights and a quota, checked on those vectors
-(``bounds.is_weighted_vectors``).
+value), and builds no game.  Only the weighted census builds games: its
+subclass is selected by an LP over ordered class weights whose only rows
+are the game's shift-minimal winning rows and its shift-maximal losing
+vectors; every weighted verdict comes with integer class weights and a
+quota, checked on those vectors (``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Optional
 
 from .bounds import is_weighted_vectors
@@ -33,9 +31,8 @@ from .games import (
 COMPLETE_R1 = "complete_r1"
 WEIGHTED_R1 = "weighted_r1"
 
-# Default census caps; larger runs must opt in explicitly.
-COMPLETE_CAP = 16
-WEIGHTED_CAP = 12
+# Default census cap for both classes; larger runs must opt in explicitly.
+CENSUS_CAP = 16
 
 
 def compositions(n: int, parts: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -59,29 +56,19 @@ def _rows_r1(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(1, sizes[0] + 1), *middle, range(sizes[-1]))
 
 
-def _check_census_args(n: int, shards: int, shard: int) -> None:
+def _check_census_args(n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    if not 0 <= shard < shards:
-        raise ValueError("shard index out of range")
 
 
-def enumerate_r1(
-    n: int, *, shards: int = 1, shard: int = 0
-) -> Iterator[CompleteGame]:
+def enumerate_r1(n: int) -> Iterator[CompleteGame]:
     """All complete games on n players with one shift-minimal winning row.
 
     Deterministic order: class count ascending, composition lexicographic,
-    row lexicographic.  With ``shards`` > 1 only the compositions whose
-    running index is congruent to ``shard`` are produced, so shard outputs
-    partition the full stream.
+    row lexicographic.
     """
-    _check_census_args(n, shards, shard)
-    for idx, sizes in enumerate(compositions(n)):
-        if idx % shards != shard:
-            continue
+    _check_census_args(n)
+    for sizes in compositions(n):
         for row in _rows_r1(sizes):
             # _rows_r1 meets (i) and (iii); (ii) and (iv) need two rows
             yield CompleteGame._trusted(sizes, (row,))
@@ -135,78 +122,50 @@ class CensusRow:
         return self.counts.get(value, 0)
 
 
-def merge_rows(rows) -> CensusRow:
-    """Associative merge of shard census rows for the same (n, class)."""
-    rows = list(rows)
-    n = rows[0].n
-    klass = rows[0].klass
-    if any(r.n != n or r.klass != klass for r in rows):
-        raise ValueError("cannot merge census rows of different kinds")
-    counts: dict = {}
-    for r in rows:
-        for k, v in r.counts.items():
-            counts[k] = counts.get(k, 0) + v
-    return CensusRow(n, klass, counts)
-
-
 def census(
-    n: int,
-    klass: str = COMPLETE_R1,
-    *,
-    cap: Optional[int] = None,
-    shards: int = 1,
-    shard: int = 0,
+    n: int, klass: str = COMPLETE_R1, *, cap: int = CENSUS_CAP
 ) -> CensusRow:
     """Count single-row complete (or weighted) games per Nakamura value.
 
-    Shard ``shard`` of ``shards`` counts the compositions whose running
-    index in ``compositions(n)`` is congruent to it.  The complete census
-    builds no game: ``_complete_r1_counts`` counts the prefix sums of class
-    sizes and row.  The weighted census builds each game of ``enumerate_r1``
-    for its LP verdict.
+    The complete census builds no game: ``_complete_r1_counts`` counts the
+    prefix sums of class sizes and row.  The weighted census builds each
+    game of ``enumerate_r1`` for its LP verdict.  Both stop above ``cap``
+    players.
     """
     if klass not in (COMPLETE_R1, WEIGHTED_R1):
         raise ValueError(f"unknown census class {klass!r}")
-    limit = cap if cap is not None else (
-        COMPLETE_CAP if klass == COMPLETE_R1 else WEIGHTED_CAP
-    )
-    if n > limit:
+    if n > cap:
         raise CapacityError(
-            f"census for n={n} exceeds the configured cap of {limit}"
+            f"census for n={n} exceeds the configured cap of {cap}"
         )
-    _check_census_args(n, shards, shard)
+    _check_census_args(n)
     if klass == COMPLETE_R1:
-        return CensusRow(n, klass, _complete_r1_counts(n, shards, shard))
+        return CensusRow(n, klass, _complete_r1_counts(n))
     counts: dict = {}
-    for g in enumerate_r1(n, shards=shards, shard=shard):
+    for g in enumerate_r1(n):
         if is_weighted_complete(g):
             v = r1_value(g.class_sizes, g.shift_min[0])
             counts[v] = counts.get(v, 0) + 1
     return CensusRow(n, klass, counts)
 
 
-def _complete_r1_counts(n: int, shards: int, shard: int) -> dict:
-    """Per-value counts of the single-row complete games in one shard, by a
-    forward DP over the classes of each class count t.
+def _complete_r1_counts(n: int) -> dict:
+    """Per-value counts of the single-row complete games, by a forward DP
+    over the classes of each class count t.
 
-    A state after class j is ``(O_j, O_j - P_j, v_j, r_j)``: the prefix sum
-    of the class sizes, its deficit over the row's, the running
+    A state after class j is ``(O_j, O_j - P_j, v_j)``: the prefix sum of
+    the class sizes, its deficit over the row's, and the running
     ``max ceil(O_i / (O_i - P_i))`` (None once ``m_1 = n_1``, the deficit
-    then dropped so those states merge) and the composition's lexicographic
-    rank among the t-part ones, mod ``shards``.  A part ``a`` at j < t adds
-    ``sum(C(n - O_{j-1} - f - 1, t - j - 1) for f in 1..a-1)`` to the rank;
-    the last part is forced to ``n - O_{t-1}``.  Adding the
-    ``sum(C(n - 1, t' - 1) for t' < t)`` shorter compositions gives
-    ``enumerate_r1``'s running index, so each shard counts the same games.
+    then dropped so those states merge).  The last part is forced to
+    ``n - O_{t-1}``.
     """
     counts: dict = {}
-    offset = 0  # running index of the first t-part composition
     for t in range(1, n + 1):
-        states = {(0, 0, 0, 0): 1}
+        states = {(0, 0, 0): 1}
         for j in range(1, t + 1):
             left = t - j
             nxt: dict = {}
-            for (o, d, v, r), c in states.items():
+            for (o, d, v), c in states.items():
                 for a in range(1, n - o - left + 1) if left else (n - o,):
                     o2 = o + a
                     # the deficit a - m_j that the row entry adds
@@ -218,23 +177,19 @@ def _complete_r1_counts(n: int, shards: int, shard: int) -> dict:
                         lo, hi = 1, a + 1  # m_t in 0..n_t - 1
                     if v is None:
                         if hi > lo:
-                            key = (o2, 0, None, r)
+                            key = (o2, 0, None)
                             nxt[key] = nxt.get(key, 0) + c * (hi - lo)
                     else:
                         for e in range(lo, hi):
                             if e == 0:
-                                key = (o2, 0, None, r)
+                                key = (o2, 0, None)
                             else:
                                 w = -(-o2 // (d + e))
-                                key = (o2, d + e, max(v, w), r)
+                                key = (o2, d + e, max(v, w))
                             nxt[key] = nxt.get(key, 0) + c
-                    if left:
-                        r = (r + comb(n - o2 - 1, left - 1)) % shards
             states = nxt
-        for (_, _, v, r), c in states.items():
-            if (offset + r) % shards == shard:
-                counts[v] = counts.get(v, 0) + c
-        offset += comb(n - 1, t - 1)
+        for (_, _, v), c in states.items():
+            counts[v] = counts.get(v, 0) + c
     return counts
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import cutting, families, gamefiles
-from .census import COMPLETE_R1, WEIGHTED_R1, census as census_rows
+from .census import CENSUS_CAP, COMPLETE_R1, WEIGHTED_R1, census as census_rows
 from .exact import nakamura_complete, nakamura_exact, verify_witness
 from .games import (
     CapacityError,
@@ -280,17 +280,13 @@ def _census_columns(n_max: int) -> list:
 
 
 def cmd_census(args) -> int:
-    klass = args.klass
-    cap = None if not args.force else 10 ** 9
+    cap = 10 ** 9 if args.force else CENSUS_CAP
     if args.nmin > args.nmax:
         raise ValueError(f"nmin {args.nmin} exceeds nmax {args.nmax}")
-    rows = []
-    for n in range(args.nmin, args.nmax + 1):
-        rows.append(
-            census_rows(
-                n, klass, cap=cap, shards=args.shards, shard=args.shard
-            )
-        )
+    rows = [
+        census_rows(n, args.klass, cap=cap)
+        for n in range(args.nmin, args.nmax + 1)
+    ]
     cols = _census_columns(args.nmax)
     if args.json:
         payload = [
@@ -407,12 +403,12 @@ def cmd_maxnak(args) -> int:
 def cmd_conjectures(args) -> int:
     target = args.target
     if ".." in target:
-        lo, hi = target.split("..", 1)
         if args.t is None:
             raise InvalidGameError("range mode needs --t")
-        probes = families.conjecture_band_probe(
-            range(int(lo), int(hi) + 1), args.t
-        )
+        lo, hi = (int(end) for end in target.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"range start {lo} exceeds range end {hi}")
+        probes = families.conjecture_band_probe(range(lo, hi + 1), args.t)
         print(json.dumps(probes, indent=2))
         return 0
     obj = _load(target)
@@ -457,11 +453,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "klass", choices=[COMPLETE_R1, WEIGHTED_R1]
     )
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--shard", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--force", action="store_true", help="ignore size caps")
+    p.add_argument("--force", action="store_true", help="ignore the size cap")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("family", help="instantiate a cataloged construction")

@@ -269,6 +269,8 @@ def max_nakamura(
     """
     if klass not in (CLASS_SIMPLE, CLASS_COMPLETE, CLASS_WEIGHTED):
         raise ValueError(f"unknown game class {klass!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 1 <= t <= n:
         raise InvalidGameError(f"class count {t} outside 1..{n}")
     if mode == "auto":

@@ -465,13 +465,13 @@ def oracle_r1_certificate(sizes, row):
     raise AssertionError(f"no certificate for classes {sizes}, row {row}")
 
 
-def oracle_census_r1(n: int, shards: int = 1, shard: int = 0) -> dict:
-    """Per-value counts of the single-row complete census in one shard,
-    from the closed form on every game ``enumerate_r1`` builds."""
+def oracle_census_r1(n: int) -> dict:
+    """Per-value counts of the single-row complete census, from the closed
+    form on every game ``enumerate_r1`` builds."""
     from nakamura.census import enumerate_r1, r1_value
 
     counts: dict = {}
-    for g in enumerate_r1(n, shards=shards, shard=shard):
+    for g in enumerate_r1(n):
         v = r1_value(g.class_sizes, g.shift_min[0])
         counts[v] = counts.get(v, 0) + 1
     return counts

@@ -18,7 +18,6 @@ from nakamura.census import (
     enumerate_complete,
     enumerate_r1,
     is_weighted_complete,
-    merge_rows,
     r1_value,
 )
 from nakamura.exact import nakamura_complete, nakamura_exact
@@ -216,20 +215,13 @@ def test_census_caps():
     with pytest.raises(CapacityError):
         census(17, COMPLETE_R1)
     with pytest.raises(CapacityError):
-        census(13, WEIGHTED_R1)
+        census(17, WEIGHTED_R1)
     census(13, COMPLETE_R1, cap=13)
 
 
 def test_complete_census_matches_oracle():
     for n in range(1, 13):
         assert census(n).counts == oracle_census_r1(n), n
-    # n = 1 and 2 have fewer compositions than most shard counts here
-    for shards in (2, 3, 5, 7):
-        for n in range(1, 11):
-            for shard in range(shards):
-                assert census(n, shards=shards, shard=shard).counts == (
-                    oracle_census_r1(n, shards, shard)
-                ), (n, shards, shard)
 
 
 def test_complete_census_builds_no_game(monkeypatch):
@@ -242,8 +234,6 @@ def test_complete_census_builds_no_game(monkeypatch):
     monkeypatch.setattr(CompleteGame, "_trusted", refuse)
     for n in range(1, 17):
         assert census(n).total() == count_r1(n)
-    parts = [census(7, shards=3, shard=i) for i in range(3)]
-    assert sum(p.total() for p in parts) == count_r1(7)
 
 
 def test_census_totals_past_the_cap():
@@ -256,18 +246,8 @@ def test_census_argument_errors():
     for klass in (COMPLETE_R1, WEIGHTED_R1):
         with pytest.raises(ValueError, match="^n must be positive$"):
             census(0, klass)
-        with pytest.raises(ValueError, match="^shards must be positive$"):
-            census(4, klass, shards=0)
-        with pytest.raises(ValueError, match="^shard index out of range$"):
-            census(4, klass, shards=3, shard=3)
-
-
-def test_shard_merge_associative():
-    full = census(7)
-    parts = [census(7, shards=3, shard=i) for i in range(3)]
-    assert merge_rows(parts).counts == full.counts
-    left = merge_rows(parts[:2])
-    assert merge_rows([left, parts[2]]).counts == full.counts
+    with pytest.raises(ValueError, match="^unknown census class 'bogus'$"):
+        census(4, "bogus")
 
 
 def test_minimal_maximal_vectors_against_lattice():

@@ -164,19 +164,23 @@ def test_census_json(capsys):
     }
 
 
-def test_census_shards_merge(capsys):
-    code, full = run(capsys, "census", "7", "7", "complete_r1")
-    totals = None
-    merged = None
-    for shard in (0, 1, 2):
-        code, out = run(
-            capsys, "census", "7", "7", "complete_r1",
-            "--shards", "3", "--shard", str(shard),
-        )
-        vals = [int(x) for x in out.strip().splitlines()[1].split(",")[1:]]
-        merged = vals if merged is None else [a + b for a, b in zip(merged, vals)]
-    expected = [int(x) for x in full.strip().splitlines()[1].split(",")[1:]]
-    assert merged == expected
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["csv", "json"])
+def test_census_out_writes_the_printed_text(fmt, tmp_path, capsys):
+    code, printed = run(capsys, "census", "1", "7", "weighted_r1", *fmt)
+    assert code == 0
+    out_path = tmp_path / "census.txt"
+    code, out = run(
+        capsys, "census", "1", "7", "weighted_r1", *fmt, "--out", str(out_path)
+    )
+    assert (code, out) == (0, "")
+    assert out_path.read_text() == printed
+
+
+def test_census_has_no_shard_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "7", "7", "complete_r1", "--shards", "3"])
+    assert exc.value.code == 2
+    assert "--shards" in capsys.readouterr().err
 
 
 def test_census_cap_exit_code(capsys):
@@ -189,21 +193,6 @@ def test_census_reversed_range_exit_code(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "nmin 4 exceeds nmax 2" in err
-
-
-def test_census_zero_shards_exit_code(capsys):
-    assert main(["census", "4", "4", "complete_r1", "--shards", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: shards must be positive\n"
-
-
-def test_census_shard_out_of_range_exit_code(capsys):
-    argv = ["census", "7", "7", "complete_r1", "--shards", "3", "--shard", "3"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: shard index out of range\n"
 
 
 def test_census_zero_players_exit_code(capsys):
@@ -332,6 +321,14 @@ def test_maxnak_no_game_prints_none(args, kind, capsys):
     assert out == f"none ({kind})\n"
 
 
+@pytest.mark.parametrize("args", ["0 0 S", "-1 1 T"])
+def test_maxnak_nonpositive_n_exit_code(args, capsys):
+    assert main(["maxnak", *args.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: n must be positive\n"
+
+
 # 30 players, four distinct weights: 51,134,417 minimal winning coalitions
 # over 144 minimal winning vectors
 THIRTY = "weighted\nquota: 40\nweights: " + " ".join(
@@ -395,6 +392,13 @@ def test_conjectures_range(capsys):
     rows = json.loads(out)
     assert [r["max_nakamura"] for r in rows] == [3, 4]
     assert all(r["inside"] for r in rows)
+
+
+def test_conjectures_reversed_range_exit_code(capsys):
+    assert main(["conjectures", "5..4", "--t", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: range start 5 exceeds range end 4\n"
 
 
 def test_conjectures_file(tmp_path, capsys):
