@@ -26,10 +26,12 @@ every losing row at most alpha, solved as its dual with one row per weight.
 * ``alpha_critical`` -- the least alpha admitting a rough representation,
   the LP over the view's winning and losing vectors; below 1 exactly for
   weighted games.
-* ``is_weighted_vectors`` -- the weightedness test of the census module: the
-  same threshold over ordered class weights of a complete game, with rows
-  only for its shift-minimal winning rows and its shift-maximal losing
-  vectors, and a weighted verdict certified by integer weights and quota.
+* ``is_weighted_vectors`` -- the weightedness test of a complete game with
+  several shift-minimal rows (``census.is_weighted_complete``; a single
+  row is decided without an LP by ``census.is_weighted_r1``): the same
+  threshold over ordered class weights, with rows only for its
+  shift-minimal winning rows and its shift-maximal losing vectors, and a
+  weighted verdict certified by integer weights and quota.
 """
 
 from __future__ import annotations

@@ -7,23 +7,31 @@ Nakamura number of each such game comes from the prefix-sum closed form,
 infinite exactly when ``m_1 = n_1``.  That form reads only the prefix sums
 O of the class sizes and P of the row, so the complete census counts them
 by a forward DP over the classes, with state (O_j, O_j - P_j, running
-value), and builds no game.  Only the weighted census builds games: its
-subclass is selected by an LP over ordered class weights whose only rows
-are the game's shift-minimal winning rows and its shift-maximal losing
-vectors; every weighted verdict comes with integer class weights and a
-quota, checked on those vectors (``bounds.is_weighted_vectors``).
+value), and builds no game.  Only the weighted census builds games, one
+per (composition, row), and decides each without an LP
+(``is_weighted_r1``): the game is weighted iff one small integer
+Z-matrix, built from O, P and the greatest losing prefix sequences, is a
+nonsingular M-matrix, tested by a Bareiss elimination.  Both verdicts are
+certified in integers: a weighted one by ordered class weights and a
+quota, a not-weighted one by non-negative multipliers on losing vectors
+whose combined prefix sums reach as many copies of the row's.  Complete
+games with several shift-minimal rows keep the ordered-weight LP
+(``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge, mul, sub
 from typing import Iterator, Optional
 
-from .bounds import is_weighted_vectors
+from .bounds import _check_ordered_certificate, is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
+    InvariantError,
+    prefix_sums,
     shift_incomparable,
     shift_maximal_losing_vectors,
 )
@@ -129,8 +137,9 @@ def census(
 
     The complete census builds no game: ``_complete_r1_counts`` counts the
     prefix sums of class sizes and row.  The weighted census builds each
-    game of ``enumerate_r1`` for its LP verdict.  Both stop above ``cap``
-    players.
+    game of ``enumerate_r1`` and keeps it when ``is_weighted_r1``, an
+    integer M-matrix test with a checked certificate either way, finds it
+    weighted.  Both stop above ``cap`` players.
     """
     if klass not in (COMPLETE_R1, WEIGHTED_R1):
         raise ValueError(f"unknown census class {klass!r}")
@@ -143,8 +152,9 @@ def census(
         return CensusRow(n, klass, _complete_r1_counts(n))
     counts: dict = {}
     for g in enumerate_r1(n):
-        if is_weighted_complete(g):
-            v = r1_value(g.class_sizes, g.shift_min[0])
+        sizes, row = g.class_sizes, g.shift_min[0]
+        if is_weighted_r1(sizes, row):
+            v = r1_value(sizes, row)
             counts[v] = counts.get(v, 0) + 1
     return CensusRow(n, klass, counts)
 
@@ -194,9 +204,144 @@ def _complete_r1_counts(n: int) -> dict:
 
 
 def is_weighted_complete(g: CompleteGame) -> bool:
-    """Whether a complete game is weighted, decided on its shift-minimal rows
-    and its shift-maximal losing vectors."""
+    """Whether a complete game is weighted: by ``is_weighted_r1`` for one
+    shift-minimal row, else by the ordered-weight LP on its shift-minimal
+    rows and its shift-maximal losing vectors."""
+    if g.r == 1:
+        return is_weighted_r1(g.class_sizes, g.shift_min[0])
     return is_weighted_vectors(g.shift_min, shift_maximal_losing_vectors(g))
+
+
+def is_weighted_r1(sizes, row) -> bool:
+    """Whether the complete game with class sizes ``sizes`` and the single
+    shift-minimal winning row ``row`` is weighted, decided in integers.
+
+    Write ``O`` and ``P`` for the prefix sums of ``sizes`` and ``row``.
+    Ordered class weights are non-negative steps ``d_k = w_k - w_{k+1}``,
+    under which a vector weighs ``sum_k C_k d_k`` over its prefix sums
+    ``C`` (``is_weighted_vectors``).  A vector loses iff ``C_i <= P_i - 1``
+    for some class ``i``, and then lies below the greatest losing sequence
+    ``G^(i)``: ``min(O_k, P_i - 1)`` for ``k < i``, ``P_i - 1 + O_k - O_i``
+    for ``k >= i`` (the candidates of ``shift_maximal_losing_vectors``).
+    So the game is weighted iff some ``d >= 0`` gives ``D d > 0``, where
+    ``D[i][k] = P_k - G^(i)_k``.
+
+    ``D`` is a Z-matrix.  Its diagonal is 1.  For ``k < i``, ``P_k <= O_k``
+    and ``P_k <= P_i - 1`` (every entry of the row but the last is at
+    least 1), so ``D[i][k] <= 0``.  For ``k > i``, ``D[i][k]`` is 1 less
+    the growth of the deficit ``O - P`` from ``i`` to ``k``, and that
+    deficit strictly increases (``m_j <= n_j - 1`` past the first class),
+    so ``D[i][k] <= 0``.  The one exception is ``m_t = 0``: then
+    ``G^(t) <= G^(t-1)``, so row t is implied by row t - 1, and column t
+    is ``<= 0`` in the other rows, so ``d_t = 0``; both are dropped.  A
+    Z-matrix has such a ``d`` iff it is a nonsingular M-matrix, iff all
+    its leading principal minors are positive (Berman and Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6, Thm 2.3).
+    One fraction-free Bareiss elimination, without pivoting, yields those
+    minors in turn.
+
+    Both verdicts carry an integer certificate, checked before it is
+    returned, so a wrong step anywhere above raises ``InvariantError``
+    instead of giving a wrong verdict:
+
+    * weighted: the steps ``d = det(D) D^-1 1 >= 0`` (and ``d_t = 0`` if
+      dropped), by fraction-free back-substitution, give ``D d = det(D) 1
+      > 0``; their suffix sums are
+      class weights and the row's weight is the quota
+      (``_check_ordered_certificate`` on every ``G^(i)``);
+    * not weighted: if ``A`` is the first leading block of ``D`` whose
+      minor is not positive, the last row ``lam`` of ``adj(A)`` is
+      non-negative and non-zero (the block before ``A`` is a nonsingular
+      M-matrix, with a non-negative inverse) and ``lam A = (0, ..., 0,
+      det(A)) <= 0``; the columns of ``D`` past ``A`` are ``<= 0`` in its
+      rows, so ``sum lam_i G^(i) >= (sum lam_i) P`` componentwise
+      (``_check_trade_certificate``).
+    """
+    o = prefix_sums(sizes)
+    p = prefix_sums(row)
+    t = len(o)
+    greatest = [
+        [min(ok, pi - 1) for ok in o[:i]] + [pi - 1 - oi + ok for ok in o[i:]]
+        for i, (oi, pi) in enumerate(zip(o, p))
+    ]
+    # m_1 >= 1, so a zero last entry means t >= 2
+    s = t - 1 if row[-1] == 0 else t
+    ps = p[:s]
+    m = _bareiss([*map(sub, ps, g), 1] for g in greatest[:s])
+    k = len(m) - 1
+    if m[k][k] > 0:
+        steps = _back_substitute(m) + [0] * (t - s)
+        weights = list(itertools.accumulate(reversed(steps)))[::-1]
+        quota = sum(map(mul, p, steps))
+        losing = [tuple(map(sub, g, [0] + g[:-1])) for g in greatest]
+        _check_ordered_certificate((row,), losing, weights, quota)
+        return True
+    # lam = (det(B) (-c) B^-1, det(B)) for A = [[B, b], [c, a]]: solve
+    # B^T y = -c, whose last pivot is det(B); B's leading minors are
+    # positive, so B^T's are too
+    a = [list(map(sub, ps, g)) for g in greatest[: k + 1]]
+    m = _bareiss([a[i][j] for i in range(k)] + [-a[k][j]] for j in range(k))
+    lam = _back_substitute(m) + [m[-1][-2]]
+    _check_trade_certificate(p, greatest[: k + 1], lam)
+    return False
+
+
+def _bareiss(rows) -> list[list[int]]:
+    """Fraction-free Gaussian elimination without pivoting, row by row, of
+    the integer ``rows`` of a square matrix (further columns ride along).
+    Eliminated row k has the leading principal minor of order k + 1 on the
+    diagonal.  Takes rows until such a minor is not positive and returns
+    the eliminated rows, that row last."""
+    done: list[list[int]] = []
+    for r in rows:
+        prev = 1
+        for k, top in enumerate(done):
+            pivot, f = top[k], r[k]
+            r[k + 1 :] = [
+                (x * pivot - f * y) // prev
+                for x, y in zip(r[k + 1 :], top[k + 1 :])
+            ]
+            prev = pivot
+        done.append(r)
+        if r[len(done) - 1] <= 0:
+            break
+    return done
+
+
+def _back_substitute(m) -> list[int]:
+    """``det(M) M^-1 b`` in integers, from the rows ``m`` of ``[M | b]``
+    after a full ``_bareiss``: the upper triangle with ``det(M)`` last on
+    the diagonal.  Every division is exact, since the result is the
+    integer vector ``adj(M) b``."""
+    s = len(m)
+    det = m[-1][s - 1]
+    x = [0] * s
+    for k in range(s - 1, -1, -1):
+        r = m[k]
+        rest = sum(map(mul, r[k + 1 : s], x[k + 1 :]))
+        x[k] = (det * r[s] - rest) // r[k]
+    return x
+
+
+def _check_trade_certificate(row_sums, losing_sums, lam) -> None:
+    """Check in integers that non-negative multipliers ``lam``, not all
+    zero, on prefix-sum sequences ``losing_sums`` that each lose to the
+    row with prefix sums ``row_sums`` give a combination at least
+    ``sum(lam)`` times ``row_sums`` componentwise; raise ``InvariantError``
+    otherwise.
+
+    No ordered weights then give the row a quota that every losing vector
+    misses: under steps ``d >= 0`` the lam-weighted losing vectors would
+    weigh less than ``sum(lam)`` quotas, and at least ``sum(lam)`` times
+    the row's weight."""
+    if any(x < 0 for x in lam) or not any(lam):
+        raise InvariantError("trade multipliers are negative or all zero")
+    if any(all(map(ge, g, row_sums)) for g, x in zip(losing_sums, lam) if x):
+        raise InvariantError("a traded vector does not lose to the row")
+    total = sum(lam)
+    for col, pk in zip(zip(*losing_sums), row_sums):
+        if sum(map(mul, lam, col)) < total * pk:
+            raise InvariantError("the traded vectors fall short of the row")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -402,10 +403,11 @@ def cmd_maxnak(args) -> int:
 
 def cmd_conjectures(args) -> int:
     target = args.target
-    if ".." in target:
+    span = re.fullmatch(r"(\d+)\.\.(\d+)", target)
+    if span:
         if args.t is None:
             raise InvalidGameError("range mode needs --t")
-        lo, hi = (int(end) for end in target.split("..", 1))
+        lo, hi = map(int, span.groups())
         if lo > hi:
             raise ValueError(f"range start {lo} exceeds range end {hi}")
         probes = families.conjecture_band_probe(range(lo, hi + 1), args.t)

@@ -545,12 +545,7 @@ def structure_flags(game: SimpleGame) -> StructureFlags:
 
 
 def prefix_sums(v: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    s = 0
-    for x in v:
-        s += x
-        out.append(s)
-    return tuple(out)
+    return tuple(itertools.accumulate(v))
 
 
 def shift_leq(u: Sequence[int], v: Sequence[int]) -> bool:

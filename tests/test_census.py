@@ -18,12 +18,15 @@ from nakamura.census import (
     enumerate_complete,
     enumerate_r1,
     is_weighted_complete,
+    is_weighted_r1,
     r1_value,
 )
+from nakamura.bounds import is_weighted_vectors
 from nakamura.exact import nakamura_complete, nakamura_exact
 from nakamura.games import (
     CapacityError,
     CompleteGame,
+    InvariantError,
     complete_from_parameters,
     expand_complete,
     maximal_losing_vectors,
@@ -66,14 +69,18 @@ def test_enumerate_r1_games_are_valid():
 
 
 def test_enumerate_complete_games_are_valid():
-    # enumerate_complete builds its games without re-checking the parameters
-    counts = []
+    # enumerate_complete builds its games without re-checking the parameters;
+    # the weighted counts take both branches of is_weighted_complete (63
+    # single-row and 1,108 multi-row games at n = 6)
+    counts, weighted = [], []
     for n in range(1, 7):
         games = list(enumerate_complete(n))
         for g in games:
             assert validate_complete_parameters(g.class_sizes, g.shift_min) == []
         counts.append(len(games))
+        weighted.append(sum(map(is_weighted_complete, games)))
     assert counts == [1, 3, 8, 25, 117, 1171]
+    assert weighted == [1, 3, 8, 25, 117, 1111]
 
 
 def test_enumeration_order_deterministic():
@@ -209,6 +216,66 @@ def test_shift_extreme_verdict_against_lattice():
             g.class_sizes, minimal_winning_vectors(g), losing
         )
         assert is_weighted_complete(g) == (alpha < 1), (g.class_sizes, g.shift_min)
+
+
+def _lp_weighted(g):
+    return is_weighted_vectors(g.shift_min, shift_maximal_losing_vectors(g))
+
+
+def test_weighted_r1_matches_lp():
+    # the M-matrix test against the ordered-weight LP, game by game
+    for n in range(1, 12):
+        for g in enumerate_r1(n):
+            verdict = is_weighted_r1(g.class_sizes, g.shift_min[0])
+            assert verdict == _lp_weighted(g), (g.class_sizes, g.shift_min)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_weighted_census_matches_lp_filter(n):
+    counts: dict = {}
+    for g in enumerate_r1(n):
+        if _lp_weighted(g):
+            v = r1_value(g.class_sizes, g.shift_min[0])
+            counts[v] = counts.get(v, 0) + 1
+    assert census(n, WEIGHTED_R1).counts == counts
+
+
+@pytest.mark.parametrize("tamper", ["negate", "zero"])
+def test_weighted_r1_checks_both_certificates(monkeypatch, tamper):
+    # negated steps are out of order and zero steps let a losing vector
+    # reach the quota; a negated trade has a negative multiplier, and a
+    # zeroed one trades only the failing class's losing sequence, which
+    # falls short of the row at that class
+    module = importlib.import_module("nakamura.census")
+    solve = module._back_substitute
+    change = {"negate": lambda x: -x, "zero": lambda x: 0}[tamper]
+    monkeypatch.setattr(
+        module, "_back_substitute", lambda m: [change(x) for x in solve(m)]
+    )
+    games = [g for n in range(6, 8) for g in enumerate_r1(n)]
+    assert not all(_lp_weighted(g) for g in games)
+    for g in games:
+        with pytest.raises(InvariantError):
+            is_weighted_r1(g.class_sizes, g.shift_min[0])
+
+
+def test_trade_certificate_rejects_broken_trades():
+    from nakamura.census import _check_trade_certificate
+
+    # classes (2, 4), row (1, 2): prefix sums (1, 3); the greatest losing
+    # sequences (0, 4) and (2, 2) sum to twice the row's, the 2-trade
+    # (0, 4) + (2, 0) = 2 (1, 2)
+    row, losing = (1, 3), [(0, 4), (2, 2)]
+    assert not is_weighted_r1((2, 4), (1, 2))
+    _check_trade_certificate(row, losing, [1, 1])
+    for lam, sequences in (
+        ([2, 1], losing),  # the first prefix falls short: 2 < 3
+        ([-1, 1], losing),  # negative
+        ([0, 0], losing),  # all zero
+        ([1, 1], [(1, 4), (2, 2)]),  # (1, 4) wins
+    ):
+        with pytest.raises(InvariantError):
+            _check_trade_certificate(row, sequences, lam)
 
 
 def test_census_caps():

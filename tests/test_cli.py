@@ -412,6 +412,16 @@ def test_conjectures_file(tmp_path, capsys):
     assert payload["inside"] is True
 
 
+def test_conjectures_file_by_relative_path(tmp_path, monkeypatch, capsys):
+    # a path with ".." is a file, not an n range
+    write(tmp_path, "m.game", "weighted\nquota: 2\nweights: 1 1 1\n")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    code, out = run(capsys, "conjectures", "../m.game")
+    assert code == 0
+    assert json.loads(out)["nakamura"] == "3"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.game", "weighted\nquota: x\nweights: 1\n")
     assert main(["analyze", str(path)]) == 2
