@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, mul, sub
+from operator import ge, gt, mul, sub
 from typing import Iterator, Optional
 
 from .bounds import _check_ordered_certificate, is_weighted_vectors
@@ -31,8 +31,8 @@ from .games import (
     CapacityError,
     CompleteGame,
     InvariantError,
+    antichains,
     prefix_sums,
-    shift_incomparable,
     shift_maximal_losing_vectors,
 )
 
@@ -355,43 +355,44 @@ def enumerate_complete(
 
     Enumerates, per composition, every antichain (under prefix-sum
     dominance) of count vectors whose rows also separate neighboring
-    classes.  Intended for small n (the state space grows like the number
-    of antichains of the vector lattice).
+    classes, in the depth-first order of ``games.antichains`` over the
+    lattice in decreasing lexicographic order.  Intended for small n (the
+    state space grows like the number of antichains of the vector lattice).
     """
     for sizes in compositions(n, parts):
         t = len(sizes)
-        # nonzero count vectors in decreasing lexicographic order
+        # nonzero count vectors in decreasing lexicographic order (iv)
         lattice = [
             v
             for v in itertools.product(*(range(nj, -1, -1) for nj in sizes))
             if any(v)
         ]
-
-        chosen: list[tuple[int, ...]] = []
-
-        def separates() -> bool:
-            if t == 1:
-                return chosen[0][0] > 0
-            for j in range(t - 1):
-                if not any(
-                    row[j] > 0 and row[j + 1] < sizes[j + 1] for row in chosen
-                ):
-                    return False
-            return True
-
-        def grow(start: int) -> Iterator[CompleteGame]:
-            # rows come from the lattice (i) in decreasing lexicographic
-            # order (iv), pairwise incomparable (ii); separates() is (iii)
-            if chosen and separates():
-                yield CompleteGame._trusted(sizes, tuple(chosen))
-            for k in range(start, len(lattice)):
-                v = lattice[k]
-                if all(shift_incomparable(v, row) for row in chosen):
-                    chosen.append(v)
-                    yield from grow(k + 1)
-                    chosen.pop()
-
-        try:
-            yield from grow(0)
-        finally:
-            del grow  # its closure cell refers to it: free the search at once
+        sums = [prefix_sums(v) for v in lattice]
+        # a later vector is lexicographically smaller, so it never dominates
+        # an earlier one; it is incomparable to it (ii) unless dominated
+        later = [
+            sum(
+                1 << j
+                for j in range(k + 1, len(sums))
+                if any(map(gt, sums[j], pk))
+            )
+            for k, pk in enumerate(sums)
+        ]
+        # bit j: the vector takes a player of class j and leaves one of
+        # class j + 1 out, which separates the two classes (iii)
+        splits = [
+            sum(
+                1 << j
+                for j in range(t - 1)
+                if v[j] > 0 and v[j + 1] < sizes[j + 1]
+            )
+            for v in lattice
+        ]
+        every_split = (1 << (t - 1)) - 1
+        for chosen in antichains(later):
+            split = 0
+            for k in chosen:
+                split |= splits[k]
+            if split == every_split:
+                rows = tuple(map(lattice.__getitem__, chosen))
+                yield CompleteGame._trusted(sizes, rows)

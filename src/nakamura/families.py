@@ -37,6 +37,7 @@ from .games import (
     InvalidGameError,
     SimpleGame,
     WeightedRep,
+    antichains,
     desirability_classes,
     masks_with_vectors,
     player_blocks,
@@ -50,7 +51,7 @@ CLASS_SIMPLE = "S"
 CLASS_COMPLETE = "C"
 CLASS_WEIGHTED = "T"
 
-EXHAUSTIVE_CAP = {CLASS_SIMPLE: 5, CLASS_COMPLETE: 6, CLASS_WEIGHTED: 6}
+EXHAUSTIVE_CAP = {CLASS_SIMPLE: 5, CLASS_COMPLETE: 7, CLASS_WEIGHTED: 7}
 
 
 @dataclass(frozen=True)
@@ -218,31 +219,25 @@ class MaxNakResult:
     family: Optional[str] = None
 
 
+def simple_antichains(n: int) -> Iterator[tuple[int, ...]]:
+    """Every antichain of nonempty coalitions of n labeled players, as
+    ascending mask tuples, in the depth-first order of ``games.antichains``
+    over the masks 1..2^n - 1: the minimal winning coalitions of every
+    simple game on n players, each game once."""
+    # point m is mask m; a larger mask is never a subset of a smaller one
+    later = [
+        sum(1 << j for j in range(m + 1, 1 << n) if m & j != m)
+        for m in range(1 << n)
+    ]
+    search = antichains(later)
+    next(search)  # the empty coalition, point 0, is a subset of every mask
+    yield from search
+
+
 def all_simple_games(n: int) -> Iterator[SimpleGame]:
     """Every simple game on n labeled players (antichain enumeration)."""
-    masks = list(range(1, 1 << n))
-    chosen: list[int] = []
-
-    def grow(start: int) -> Iterator[SimpleGame]:
-        if chosen:
-            yield SimpleGame(n, tuple(chosen))
-        for i in range(start, len(masks)):
-            m = masks[i]
-            ok = True
-            for c in chosen:
-                inter = c & m
-                if inter == c or inter == m:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(m)
-                yield from grow(i + 1)
-                chosen.pop()
-
-    try:
-        yield from grow(0)
-    finally:
-        del grow  # its closure cell refers to it: free the search at once
+    for masks in simple_antichains(n):
+        yield SimpleGame(n, masks)
 
 
 def max_nakamura(
@@ -251,21 +246,38 @@ def max_nakamura(
     """Maximum Nakamura number of a vetoer-free game with n players and t
     classes in the simple (S) / complete (C) / weighted (T) family.
 
-    Exhaustive mode is guaranteed for n <= 5 (S) and n <= 6 (C, T);
+    Exhaustive mode is guaranteed for n <= 5 (S) and n <= 7 (C, T);
     construction mode returns the best catalog lower bound instead.
 
     The exhaustive search keeps the first game, in enumeration order, whose
     value is strictly greater than the best found so far (the incumbent),
     and skips every game that cannot be that, before the costly steps run.
-    A simple game is tested for vetoers on its own antichain, then bounded
-    from above: a greedy cover of the player set by k complements of
-    minimal winning coalitions is k winning coalitions with empty
-    intersection, so its value is at most k, and a game with k <= incumbent
-    is skipped before its view, desirability classes and exact value are
-    computed.  A complete game's value is solved first, and only a game that
-    beats the incumbent is tested for weightedness (class T).  A skipped
-    game could never have replaced the incumbent, so the value, the
-    ``exact`` flag and the witness are those of the unpruned search.
+    A simple game is first seen as the bare masks of its minimal winning
+    coalitions.  A game whose masks' AND is nonempty has a vetoer.  Two
+    upper bounds follow, and a game whose bound is at most the incumbent
+    is skipped before its ``SimpleGame``, view, desirability classes and
+    exact value are built:
+
+    * |S| + 1 for the smallest minimal winning coalition S.  The game has no
+      vetoer, so for each i in S some winning coalition avoids i; with S
+      these are |S| + 1 winning coalitions with an empty intersection.
+    * k for a greedy cover of the player set by k complements of minimal
+      winning coalitions: those k coalitions win and have an empty
+      intersection.
+
+    A complete game's value is solved first, and only a game that beats the
+    incumbent is tested for weightedness (class T).
+
+    The search stops at the first incumbent of value ``n`` if t = 1, and
+    ``n - 1`` otherwise, which no later game can beat.  A vetoer-free game
+    has value at most n (the n coalitions that each avoid one player).  By
+    the first bound, value n forces every minimal winning coalition to have
+    n - 1 players (an n-player one would make everyone a vetoer), and with
+    no vetoer every (n - 1)-set then wins: the symmetric game, with t = 1.
+
+    A skipped game could never have replaced the incumbent, and no game
+    after the stop could either, so the value, the ``exact`` flag and the
+    witness are those of the unpruned search.
     """
     if klass not in (CLASS_SIMPLE, CLASS_COMPLETE, CLASS_WEIGHTED):
         raise ValueError(f"unknown game class {klass!r}")
@@ -285,24 +297,29 @@ def max_nakamura(
             f"for class {klass}"
         )
 
+    top = n if t == 1 else n - 1
     best: Optional[int] = None
     arg = None
     if klass == CLASS_SIMPLE:
         grand = (1 << n) - 1
-        for game in all_simple_games(n):
-            ms = game.min_winning
-            if reduce(and_, ms, grand):
+        for masks in simple_antichains(n):
+            if reduce(and_, masks, grand):
                 continue  # a vetoer
-            if best is not None and len(
-                greedy_cover(grand, [grand & ~m for m in ms])
-            ) <= best:
+            if best is not None and (
+                min(map(int.bit_count, masks)) + 1 <= best
+                or len(greedy_cover(grand, [grand & ~m for m in masks]))
+                <= best
+            ):
                 continue
+            game = SimpleGame(n, masks)
             classes, _ = desirability_classes(game)
             if len(classes) != t:
                 continue
             value = nakamura_exact(game).value
             if best is None or value > best:
                 best, arg = value, game
+                if best == top:
+                    break
     else:
         for g in enumerate_complete(n, parts=t):
             if g.has_vetoers():
@@ -313,6 +330,8 @@ def max_nakamura(
             if klass == CLASS_WEIGHTED and not is_weighted_complete(g):
                 continue
             best, arg = value, g
+            if best == top:
+                break
     return MaxNakResult(best, True, arg)
 
 

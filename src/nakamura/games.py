@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import comb, gcd, lcm, prod
 from operator import and_, eq, ge, mul, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_PLAYERS = 64
 
@@ -100,6 +100,31 @@ def players_from_mask(mask: int) -> tuple[int, ...]:
 def sort_coalitions(masks) -> tuple[int, ...]:
     """Canonical order: lexicographic by sorted player tuple."""
     return tuple(sorted(masks, key=players_from_mask))
+
+
+def antichains(later: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every nonempty antichain of points ``0..len(later) - 1``, as
+    ascending index tuples, depth-first: each antichain comes right before
+    its extensions by later points, and those in ascending order.
+
+    ``later[k]`` is the bitset of the points after k that are incomparable
+    to point k, so the points that may extend an antichain are the AND of
+    its members' ``later`` sets and no pair is ever compared.
+    """
+    return _antichains_from((), (1 << len(later)) - 1, later)
+
+
+def _antichains_from(
+    chosen: tuple[int, ...], allowed: int, later: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    # module level, not a closure, so a running search holds no cycle
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        k = low.bit_length() - 1
+        path = chosen + (k,)
+        yield path
+        yield from _antichains_from(path, allowed & later[k], later)
 
 
 # ---------------------------------------------------------------------------

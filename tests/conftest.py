@@ -13,8 +13,10 @@ desirability classes have a second oracle, the exchange test over the
 minimal winning vectors merged by union-find, which reads no winning table.  Helpers that only tests call
 (``shift_minimal_vectors``, ``canonical_vector_form``,
 ``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
-does the census oracle, which counts the games ``enumerate_r1`` builds, and
-the unpruned exhaustive search for the maximum Nakamura number.
+does the census oracle, which counts the games ``enumerate_r1`` builds, the
+pairwise antichain searches that enumerate every simple and every complete
+game on a few players, and the unpruned exhaustive search for the maximum
+Nakamura number built on them.
 """
 
 import functools
@@ -477,20 +479,75 @@ def oracle_census_r1(n: int) -> dict:
     return counts
 
 
+def oracle_all_simple_games(n: int) -> list:
+    """Every simple game on n labeled players, by the pairwise antichain
+    search: each candidate mask, in ascending order, is tested against every
+    chosen one, depth-first, each antichain before its extensions."""
+    from nakamura.games import SimpleGame
+
+    out = []
+
+    def grow(chosen, start):
+        if chosen:
+            out.append(SimpleGame(n, tuple(chosen)))
+        for m in range(start, 1 << n):
+            if all(c & m not in (c, m) for c in chosen):
+                grow(chosen + [m], m + 1)
+
+    grow([], 1)
+    return out
+
+
+def oracle_enumerate_complete(n: int) -> list:
+    """Every complete game on n players, by the pairwise antichain search:
+    per composition, each count vector, in decreasing lexicographic order,
+    is tested against every chosen row with ``shift_incomparable``, and an
+    antichain whose rows separate neighboring classes becomes a checked
+    ``CompleteGame``."""
+    from nakamura.census import compositions
+    from nakamura.games import CompleteGame, shift_incomparable
+
+    out = []
+    for sizes in compositions(n):
+        t = len(sizes)
+        lattice = [
+            v
+            for v in itertools.product(*(range(nj, -1, -1) for nj in sizes))
+            if any(v)
+        ]
+
+        def separates(chosen):
+            return all(
+                any(row[j] > 0 and row[j + 1] < sizes[j + 1] for row in chosen)
+                for j in range(t - 1)
+            )
+
+        def grow(chosen, start):
+            if chosen and separates(chosen):
+                out.append(CompleteGame(sizes, tuple(chosen)))
+            for k in range(start, len(lattice)):
+                v = lattice[k]
+                if all(shift_incomparable(v, row) for row in chosen):
+                    grow(chosen + [v], k + 1)
+
+        grow([], 0)
+    return out
+
+
 @functools.cache
 def oracle_max_nakamura(n: int, klass: str) -> dict:
     """The unpruned exhaustive search behind ``max_nakamura``, for every
     class count at once: ``{t: (value, witness)}`` for each t that some
     vetoer-free game of the class (``"S"``, ``"C"`` or ``"T"``) reaches.
 
-    One enumeration per ``(n, klass)``: every vetoer-free game is
-    classified (and, for ``"T"``, tested for weightedness) and solved, and
-    the first game in enumeration order whose value strictly beats its
-    class count's best so far is kept.
+    One enumeration per ``(n, klass)``, by the pairwise oracles above rather
+    than the library's enumerators: every vetoer-free game is classified
+    (and, for ``"T"``, tested for weightedness) and solved, and the first
+    game in enumeration order whose value strictly beats its class count's
+    best so far is kept.
     """
-    from nakamura.census import enumerate_complete, is_weighted_complete
+    from nakamura.census import is_weighted_complete
     from nakamura.exact import nakamura_complete, nakamura_exact
-    from nakamura.families import all_simple_games
     from nakamura.games import desirability_classes
 
     best: dict = {}
@@ -500,13 +557,13 @@ def oracle_max_nakamura(n: int, klass: str) -> dict:
             best[t] = (value, game)
 
     if klass == "S":
-        for game in all_simple_games(n):
+        for game in oracle_all_simple_games(n):
             if game.vetoer_mask():
                 continue
             classes, _ = desirability_classes(game)
             record(len(classes), nakamura_exact(game).value, game)
     else:
-        for g in enumerate_complete(n):
+        for g in oracle_enumerate_complete(n):
             if g.has_vetoers():
                 continue
             if klass == "T" and not is_weighted_complete(g):

@@ -8,6 +8,7 @@ from conftest import (
     oracle_alpha_critical_vectors,
     oracle_census_r1,
     oracle_critical_lp,
+    oracle_enumerate_complete,
 )
 from nakamura.census import (
     COMPLETE_R1,
@@ -81,6 +82,15 @@ def test_enumerate_complete_games_are_valid():
         weighted.append(sum(map(is_weighted_complete, games)))
     assert counts == [1, 3, 8, 25, 117, 1171]
     assert weighted == [1, 3, 8, 25, 117, 1111]
+
+
+def test_enumerate_complete_matches_pairwise_search():
+    # the bitset search yields the games in the pairwise search's order, so
+    # every first witness stays the same
+    for n in range(1, 7):
+        assert list(enumerate_complete(n)) == oracle_enumerate_complete(n)
+    # the published count of complete games on seven players
+    assert sum(1 for _ in enumerate_complete(7)) == 44313
 
 
 def test_enumeration_order_deterministic():

@@ -307,8 +307,8 @@ def test_maxnak_prints_the_first_witness(args, expected, capsys):
     "args,kind",
     [
         # no catalog construction for t = 5
-        pytest.param("7 5 T", "construction lower bound", id="7-5-T"),
-        pytest.param("7 5 C", "construction lower bound", id="7-5-C"),
+        pytest.param("8 5 T", "construction lower bound", id="8-5-T"),
+        pytest.param("8 5 C", "construction lower bound", id="8-5-C"),
         # every game has a vetoer
         pytest.param("3 3 S", "exact maximum", id="3-3-S"),
         pytest.param("4 4 C", "exact maximum", id="4-4-C"),

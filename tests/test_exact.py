@@ -17,7 +17,7 @@ from nakamura import exact, games
 from nakamura.bounds import greedy_upper, strip_rounds, weighted_bounds
 from nakamura.census import enumerate_complete
 from nakamura.cli import main
-from nakamura.families import all_simple_games
+from nakamura.families import all_simple_games, simple_antichains
 from conftest import (
     dense_winning_table,
     game_from_table,
@@ -640,8 +640,17 @@ def test_cover_and_count_searches_leave_no_cyclic_garbage():
         res = nakamura_exact(game)
         assert res.stats.settled == "search" and res.value == 7
         assert gc.collect() == 0
-        # the recursive game generators, run out and closed early
-        for generate in (all_simple_games, enumerate_complete):
+        # the recursive antichain and game generators, run out and closed
+        # early; the first search runs on four pairwise incomparable points
+        def unordered(n):
+            return games.antichains([(1 << n) - (2 << k) for k in range(n)])
+
+        for generate in (
+            unordered,
+            simple_antichains,
+            all_simple_games,
+            enumerate_complete,
+        ):
             assert sum(1 for _ in generate(4)) > 0
             assert gc.collect() == 0
             games_of_4 = generate(4)

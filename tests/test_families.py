@@ -1,9 +1,13 @@
 import pytest
 
-from conftest import canonical_vector_form, oracle_max_nakamura
+from conftest import (
+    canonical_vector_form,
+    oracle_all_simple_games,
+    oracle_max_nakamura,
+)
 from nakamura import families
 from nakamura.census import enumerate_complete, is_weighted_complete
-from nakamura.exact import nakamura_exact
+from nakamura.exact import nakamura_complete, nakamura_exact
 from nakamura.families import (
     EXHAUSTIVE_CAP,
     FamilySpec,
@@ -12,6 +16,7 @@ from nakamura.families import (
     conjecture_band_probe,
     construct_family,
     max_nakamura,
+    simple_antichains,
 )
 from nakamura.games import (
     CapacityError,
@@ -138,12 +143,26 @@ def test_max_nakamura_classes_agree_small():
         assert vt == vc == vs
 
 
+def test_all_simple_games_matches_pairwise_search():
+    # the bitset search yields the antichains in the pairwise search's order
+    for n in range(1, 6):
+        games = oracle_all_simple_games(n)
+        assert list(simple_antichains(n)) == [
+            tuple(sorted(g.min_winning)) for g in games
+        ]
+        assert list(all_simple_games(n)) == games
+
+
+# The unpruned search runs on the pairwise oracles; at n = 7 its C and T
+# passes would add about 22 s, so the n = 7 maxima are pinned below instead.
 @pytest.mark.parametrize(
     "klass,n",
-    [(k, n) for k in "SCT" for n in range(1, EXHAUSTIVE_CAP[k] + 1)],
+    [("S", n) for n in range(1, 6)]
+    + [(k, n) for k in "CT" for n in range(1, 7)],
 )
 def test_max_nakamura_matches_unpruned_search(klass, n):
-    # the incumbent prune must keep the value and the first witness
+    # the incumbent prune and the stop rule must keep the value and the
+    # first witness
     best = oracle_max_nakamura(n, klass)
     for t in range(1, n + 1):
         value, witness = best.get(t, (None, None))
@@ -169,9 +188,27 @@ def test_max_nakamura_never_keeps_an_unweighted_incumbent(monkeypatch):
     assert found
 
 
+@pytest.mark.parametrize("klass", ["C", "T"])
+def test_max_nakamura_seven_players(klass):
+    # the exhaustive maxima for t = 1..7 on seven players; each witness
+    # reaches its value with t classes and no vetoer
+    assert EXHAUSTIVE_CAP[klass] == 7
+    values = []
+    for t in range(1, 8):
+        res = max_nakamura(7, t, klass)
+        g = res.witness
+        assert res.exact and g.n == 7 and g.t == t and not g.has_vetoers()
+        assert nakamura_complete(g, want_witness=False).value == res.value
+        assert klass == "C" or is_weighted_complete(g)
+        values.append(res.value)
+    assert values == [7, 6, 6, 5, 5, 5, 4]
+
+
 def test_max_nakamura_cap():
     with pytest.raises(CapacityError):
-        max_nakamura(7, 2, "T", mode="exhaustive")
+        max_nakamura(8, 2, "T", mode="exhaustive")
+    with pytest.raises(CapacityError):
+        max_nakamura(6, 2, "S", mode="exhaustive")
 
 
 def test_max_nakamura_construction_mode():
