@@ -110,7 +110,7 @@ def greedy_upper(rep: WeightedRep) -> Optional[int]:
 
 def strip_rounds(view: ClassView) -> Optional[list[int]]:
     """The improved greedy's winning coalitions, one per round, on a
-    ``"weights"`` view; None when it cannot finish.
+    weights view; None when it cannot finish.
 
     Each round keeps the grand coalition and strips the heaviest players not
     yet dropped in earlier rounds (lowest index first among equal weights),
@@ -211,7 +211,7 @@ def lp_lower_bound(game: SimpleGame) -> Optional[int]:
     or the game has a small antichain.
     """
     view = game.view
-    if view.source != "weights" and view.coalition_count(view.winning) > 300:
+    if view.quota is None and view.coalition_count(view.winning) > 300:
         return None
     return max_quota_lp(game).nak_lower_bound
 

@@ -49,7 +49,7 @@ from .games import (
     InvalidGameError,
     InvariantError,
     SimpleGame,
-    desirability_vectors,
+    desirability_classes,
     player_blocks,
     prefix_sums,
     sort_coalitions,
@@ -67,13 +67,14 @@ class SolveStats:
     * ``path`` -- ``"weights"`` (a weighted game settled on its weights
       before any coalition is listed), ``"cover"`` (bitmask cover over
       coalitions), ``"vectors"`` (covering program over player classes) or
-      ``"complete"`` (a complete game's prefix program or closed form);
+      ``"complete"`` (a complete game's prefix program);
     * ``root_lb`` -- the lower bound known before any search, and
       ``root_source`` what supplied it: ``"ceiling"`` (the quota ceiling of
       a weighted game, preferred on ties), ``"comb"`` (the program's own
-      ceiling), ``"lp"`` (the quota LP) or ``"closed_form"``;
+      ceiling; for a single-row complete game it is the closed form) or
+      ``"lp"`` (the quota LP);
     * ``settled`` -- what gave the witness: ``"greedy"``, ``"strip"`` (the
-      improved greedy's rounds), ``"search"`` or ``"closed_form"``;
+      improved greedy's rounds) or ``"search"``;
     * ``nodes`` -- search nodes visited.
     """
 
@@ -172,7 +173,7 @@ def _root_bound(ceiling: Optional[int], comb: int) -> tuple[int, str]:
 
 
 def _strip_meeting(view: ClassView, root_lb: int):
-    """The strip's coalitions on a ``"weights"`` view when their count meets
+    """The strip's coalitions on a weights view when their count meets
     ``root_lb``, else None."""
     if view.quota is None:
         return None
@@ -339,9 +340,9 @@ def _program_result(path, columns, demands, view: Optional[ClassView], witness):
     """Solve a covering program over player classes exactly.
 
     The root bound is the program's own ceiling (each class's demand over
-    its largest column entry), raised to the quota ceiling of a
-    ``"weights"`` ``view``, whose strip is the answer when the greedy misses
-    that bound and the strip meets it.  Otherwise ``solve_covering_ilp``
+    its largest column entry), raised to the quota ceiling of a weights
+    ``view``, whose strip is the answer when the greedy misses that bound
+    and the strip meets it.  Otherwise ``solve_covering_ilp``
     runs from the greedy, and ``witness`` turns the chosen columns (one per
     unit of multiplicity, in column order) into coalitions.  A ``view`` of
     None has neither ceiling nor strip (a complete game's), and a
@@ -406,19 +407,31 @@ def nakamura_by_vectors(game: SimpleGame) -> NakamuraResult:
     """Solve a game's covering program over player classes exactly.
 
     The classes are the blocks of ``game.view``, or the desirability classes
-    when the view has one block per player.  When every class holds one
-    player, the minimal winning count vectors are the coalitions and go to
-    the complement cover.  Otherwise the program chooses minimal winning
-    vectors ``v`` (with repetition) whose columns ``sizes - v`` drop every
-    class ``j`` at least ``sizes[j]`` times; the optimal count is the
-    Nakamura number (``_program_result``).  Within each class the witness
-    drops players in ascending order.  Raises on a vetoer.
+    when the view has one block per player (a game given only by its
+    antichain).  Players of one desirability class are interchangeable, so
+    a coalition's count vector over the classes decides whether it wins.
+    The minimal winning vectors are then the count vectors of the minimal
+    winning coalitions, one AND and one ``bit_count`` per class: if one of
+    them dominated another winning vector, a proper subset of its coalition
+    would have that vector and win, so the coalition would not be minimal.
+
+    When every class holds one player, the minimal winning count vectors
+    are the coalitions and go to the complement cover.  Otherwise the
+    program chooses minimal winning vectors ``v`` (with repetition) whose
+    columns ``sizes - v`` drop every class ``j`` at least ``sizes[j]``
+    times; the optimal count is the Nakamura number (``_program_result``).
+    Within each class the witness drops players in ascending order.  Raises
+    on a vetoer.
     """
     view = game.view
     blocks, vectors = view.blocks, view.winning
-    if view.source == "players":
-        classes, _, vectors = desirability_vectors(game)
+    if view.table is not None:
+        classes, _ = desirability_classes(game)
         blocks = tuple(tuple(p - 1 for p in cls) for cls in classes)
+        masks = [sum(1 << p for p in block) for block in blocks]
+        vectors = {
+            tuple((w & m).bit_count() for m in masks) for w in game.min_winning
+        }
     vectors = sorted(vectors, reverse=True)
     if all(len(b) == 1 for b in blocks):
         bits = [1 << p for (p,) in blocks]
@@ -447,16 +460,14 @@ def nakamura_complete(
     before player ``p`` (0-based) lie in classes up to ``j``, and full rows
     would give ``p >= sum_i (O_j - P_ij) >= O_j > p``.  With
     ``want_witness=False`` the value is the sum of the program's
-    multiplicities (one row: the closed form) and no coalition is built.
+    multiplicities and no coalition is built.  With one row the program's
+    ceiling is the closed form, and its greedy takes the one column that
+    many times, so no search runs.
     """
     if g.n > 64 and want_witness:
         raise CapacityError("witness expansion needs at most 64 players")
     if g.has_vetoers():
         return INFINITE_RESULT
-    if not want_witness and g.r == 1:
-        value = r1_value(g.class_sizes, g.shift_min[0])
-        stats = SolveStats("complete", value, "closed_form", "closed_form", 0)
-        return NakamuraResult(value, (), stats)
     o = prefix_sums(g.class_sizes)
     columns = [tuple(map(sub, o, prefix_sums(row))) for row in g.shift_min]
     witness = partial(_prefix_witness, g.class_sizes) if want_witness else None

@@ -367,7 +367,8 @@ def _construction_bound(n: int, t: int) -> MaxNakResult:
 
 def conjecture_band_probe(n_values, t: int) -> list[dict]:
     """For each n, the exhaustive weighted maximum against the conjectured
-    band [n - t + 1, n - t + 2].  Reports, never asserts."""
+    band [n - t + 1, n - t + 2].  Reports, never asserts; ``inside`` is
+    None when no game without vetoers has t classes, as the maximum is."""
     out = []
     for n in n_values:
         res = max_nakamura(n, t, CLASS_WEIGHTED, mode="exhaustive")
@@ -378,7 +379,7 @@ def conjecture_band_probe(n_values, t: int) -> list[dict]:
                 "t": t,
                 "max_nakamura": res.value,
                 "band": (lo, hi),
-                "inside": res.value is not None and lo <= res.value <= hi,
+                "inside": None if res.value is None else lo <= res.value <= hi,
             }
         )
     return out

@@ -135,10 +135,7 @@ def _parse_complete(rest, hline) -> CompleteGame:
     rows = []
     for line, txt in row_lines:
         rows.append(tuple(_int(t, line) for t in _field(txt, "row", line).split()))
-    try:
-        return complete_from_parameters(tuple(sizes), rows)
-    except GameError as exc:
-        raise ParseError(row_lines[-1][0], str(exc)) from exc
+    return complete_from_parameters(tuple(sizes), rows)
 
 
 def _parse_csp(rest, hline) -> CspInstance:

@@ -218,10 +218,12 @@ def _minimal_counts(
     ``sum(c[j] * values[j])`` reaches ``quota``.
 
     ``values`` must be non-increasing.  The search adds counts group by
-    group; once a prefix reaches the quota, larger counts in the same group
-    cannot be minimal, and branches whose remaining value cannot reach the
-    quota are cut.  At ``quota <= 0`` the zero vector is the one minimal
-    vector.
+    group and stops a group at its first count that reaches the quota.
+    That vector is minimal: dropping a player of this group gives the
+    previous count, which fell short, and a player of an earlier group
+    weighs at least as much.  Branches whose remaining value cannot reach
+    the quota are cut.  At ``quota <= 0`` the zero vector is the one
+    minimal vector.
     """
     t = len(values)
     if quota <= 0:
@@ -231,29 +233,28 @@ def _minimal_counts(
         suffix[g] = suffix[g + 1] + sizes[g] * values[g]
     out: list[tuple[int, ...]] = []
 
-    def rec(g: int, counts: list[int], total: int, lightest) -> None:
+    def rec(g: int, counts: list[int], total: int) -> None:
         if total >= quota:
-            if lightest is not None and total - lightest < quota:
-                out.append(tuple(counts) + (0,) * (t - g))
+            out.append(tuple(counts) + (0,) * (t - g))
             return
         if g == t or total + suffix[g] < quota:
             return
         if values[g] == 0:
             # zero-value groups never occur in a minimal vector
             counts.append(0)
-            rec(g + 1, counts, total, lightest)
+            rec(g + 1, counts, total)
             counts.pop()
             return
         for c in range(sizes[g] + 1):
             t2 = total + c * values[g]
             counts.append(c)
-            rec(g + 1, counts, t2, values[g] if c else lightest)
+            rec(g + 1, counts, t2)
             counts.pop()
             if t2 >= quota:
                 break
 
     try:
-        rec(0, [], 0, None)
+        rec(0, [], 0)
     finally:
         del rec  # its closure cell refers to it: free the search at once
     return out
@@ -321,7 +322,7 @@ class SimpleGame:
 
     def vetoer_mask(self) -> int:
         view = self.view
-        if view.source == "players":  # faster on the antichain's own masks
+        if view.table is not None:  # one block per player: faster on bare masks
             return reduce(and_, self.min_winning, self.grand)
         if view.quota is not None:
             # a block's players veto iff the grand coalition loses one of them
@@ -429,9 +430,10 @@ def desirability_classes(game: SimpleGame) -> tuple[tuple[tuple[int, ...], ...],
     many other classes they dominate, ties by smallest member.  The classes
     are unions of the blocks of ``game.view``.
 
-    A ``"players"`` view on at most ``DENSE_TABLE_CAP`` players reads the
-    relation off its winning table (``_table_rows``); every other view runs
-    the exchange test ``_block_geq`` over its minimal winning vectors.
+    A view with one block per player, on at most ``DENSE_TABLE_CAP``
+    players, reads the relation off its winning table (``_table_rows``);
+    every other view runs the exchange test ``_block_geq`` over its minimal
+    winning vectors.
     """
     view = game.view
     k = len(view.blocks)
@@ -494,8 +496,8 @@ def maximal_losing(game: SimpleGame) -> tuple[int, ...]:
     """The antichain of inclusion-maximal losing coalitions.
 
     The coalitions realizing the maximal losing vectors of ``game.view``;
-    a ``"players"`` view takes them straight from its winning table, which
-    caps that case at ``DENSE_TABLE_CAP`` players.
+    a view with one block per player takes them straight from its winning
+    table, which caps that case at ``DENSE_TABLE_CAP`` players.
     """
     view = game.view
     if view.table is not None:
@@ -817,33 +819,6 @@ def expand_complete(g: CompleteGame) -> SimpleGame:
     return SimpleGame._on_view(g.n, g.view)
 
 
-def vector_of_mask(mask: int, classes: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Count vector of a coalition w.r.t. an ordered partition (1-based)."""
-    counts = []
-    for cls in classes:
-        counts.append(sum(1 for p in cls if mask >> (p - 1) & 1))
-    return tuple(counts)
-
-
-def minimal_vectors(vectors) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements of a set of count vectors."""
-    vs = sorted(set(vectors), key=lambda v: (sum(v), v))
-    out = []
-    for v in vs:
-        if not any(all(u[j] <= v[j] for j in range(len(v))) for u in out):
-            out.append(v)
-    return out
-
-
-def desirability_vectors(game: SimpleGame):
-    """``(classes, is_complete, vectors)``: the desirability classes as in
-    ``desirability_classes`` and the minimal winning count vectors over
-    them."""
-    classes, complete = desirability_classes(game)
-    vectors = minimal_vectors(vector_of_mask(w, classes) for w in game.min_winning)
-    return classes, complete, vectors
-
-
 # ---------------------------------------------------------------------------
 # class view
 
@@ -859,23 +834,23 @@ class ClassView:
     * ``wins(c)`` -- whether a count vector (any int sequence) wins;
     * ``losing`` -- the componentwise-maximal losing count vectors.
 
-    ``winning`` and ``losing`` are computed on first use.  ``source`` names
-    where the blocks come from: ``"weights"`` (equal-weight groups),
-    ``"classes"`` (the classes of a complete game) or ``"players"`` (one
-    block per player, for a game given only by its antichain).  A
-    ``"weights"`` view also keeps the smallest integral representation it
-    was built from: ``quota`` and one weight per block in
-    ``block_weights``; both are None on other views.  A ``"players"`` view
-    has ``table()``, its up-closed winning table (``_winning_table``), built
-    once on first call and raising ``CapacityError`` above
-    ``DENSE_TABLE_CAP`` players; ``table`` is None on other views.
+    ``winning`` and ``losing`` are computed on first use.  The fields tell
+    the three kinds of view apart:
+
+    * a weights view (blocks: equal-weight groups) keeps the smallest
+      integral representation it was built from, ``quota`` and one weight
+      per block in ``block_weights``; both are None on other views;
+    * a view with one block per player (a game given only by its antichain)
+      has ``table()``, its up-closed winning table (``_winning_table``),
+      built once on first call and raising ``CapacityError`` above
+      ``DENSE_TABLE_CAP`` players; ``table`` is None on other views;
+    * a complete game's view (blocks: its classes) has none of them.
     """
 
     def __init__(
-        self, source: str, blocks, wins, winning, losing,
+        self, blocks, wins, winning, losing,
         quota: Optional[int] = None, block_weights=None, table=None,
     ):
-        self.source = source
         self.blocks = tuple(tuple(b) for b in blocks)
         self.sizes = tuple(len(b) for b in self.blocks)
         self.wins = wins
@@ -903,8 +878,8 @@ class ClassView:
 
     @property
     def quota_ceiling(self) -> Optional[int]:
-        """The quota ceiling ``ceil(w(N) / (w(N) - q))`` of a ``"weights"``
-        view, a lower bound on the Nakamura number; None on other views and
+        """The quota ceiling ``ceil(w(N) / (w(N) - q))`` of a weights view,
+        a lower bound on the Nakamura number; None on other views and
         when only the grand coalition wins."""
         if self.quota is None:
             return None
@@ -934,11 +909,11 @@ def class_view(game) -> ClassView:
     per player with incidence rows in ``min_winning`` order (the maximal
     losing rows come ascending by mask from the view's winning table).  A
     game built by ``game_from_weighted`` or ``expand_complete`` carries its
-    source's view instead.
+    source's view instead.  No field names the kind of a view; the fields
+    that tell it are listed under ``ClassView``.
     """
     if isinstance(game, CompleteGame):
         return ClassView(
-            "classes",
             player_blocks(game.class_sizes),
             game.wins,
             lambda: minimal_winning_vectors(game),
@@ -952,7 +927,6 @@ def class_view(game) -> ClassView:
         # a vector loses iff its complement reaches total - qhat + 1
         dual_quota = sum(map(mul, values, sizes)) - qhat + 1
         return ClassView(
-            "weights",
             groups,
             lambda c: sum(x * w for x, w in zip(c, values)) >= qhat,
             lambda: _minimal_counts(values, sizes, qhat),
@@ -981,7 +955,6 @@ def class_view(game) -> ClassView:
         return _winning_table(n, min_winning)
 
     return ClassView(
-        "players",
         [(p,) for p in range(n)],
         wins,
         lambda: incidence(min_winning),

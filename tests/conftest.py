@@ -11,7 +11,7 @@ list an instance's or a game's maximal patterns as masks and solve ``z_B``
 by ``min_cover`` and ``z_C`` as a covering LP on that tableau.  The
 desirability classes have a second oracle, the exchange test over the
 minimal winning vectors merged by union-find, which reads no winning table.  Helpers that only tests call
-(``shift_minimal_vectors``, ``canonical_vector_form``,
+(``vector_of_mask``, ``shift_minimal_vectors``, ``canonical_vector_form``,
 ``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
 does the census oracle, which counts the games ``enumerate_r1`` builds, the
 pairwise antichain searches that enumerate every simple and every complete
@@ -45,7 +45,7 @@ from nakamura.games import (
     WeightedRep,
     _complement,
     _minimal_counts,
-    desirability_vectors,
+    desirability_classes,
     game_from_weighted,
     masks_with_vectors,
     maximal_losing,
@@ -251,6 +251,12 @@ def oracle_desirability_classes(game: SimpleGame):
     return classes, complete
 
 
+def vector_of_mask(mask: int, classes) -> tuple[int, ...]:
+    """Count vector of a coalition over an ordered partition of 1-based
+    players, one player at a time."""
+    return tuple(sum(1 for p in cls if mask >> (p - 1) & 1) for cls in classes)
+
+
 def shift_minimal_vectors(vectors) -> list[tuple[int, ...]]:
     """Minimal elements under prefix-sum dominance, decreasing lex order."""
     vs = sorted(set(vectors), reverse=True)
@@ -269,7 +275,8 @@ def canonical_vector_form(game: SimpleGame):
     complete games the converse holds as well since the class order is
     then unique.
     """
-    classes, complete, vectors = desirability_vectors(game)
+    classes, complete = desirability_classes(game)
+    vectors = {vector_of_mask(w, classes) for w in game.min_winning}
     return tuple(len(c) for c in classes), tuple(sorted(vectors)), complete
 
 

@@ -21,8 +21,12 @@ from nakamura.families import all_simple_games, simple_antichains
 from conftest import (
     dense_winning_table,
     game_from_table,
+    oracle_is_winning,
     oracle_nakamura,
+    random_rep,
+    random_simple_game,
     random_vetoer_free,
+    vector_of_mask,
 )
 from nakamura.exact import (
     NakamuraResult,
@@ -40,6 +44,7 @@ from nakamura.games import (
     WeightedRep,
     classify_players,
     complete_from_parameters,
+    desirability_classes,
     expand_complete,
     game_from_weighted,
     mask_from_players,
@@ -495,6 +500,42 @@ def test_solvers_agree_on_weighted_games(rep):
     assert weighted_bounds(rep).lower <= value <= greedy_upper(rep) == len(rounds)
 
 
+@st.composite
+def listed_games(draw):
+    """Games given only by their antichain, on 2..9 players: random
+    antichains, and weighted games listed coalition by coalition."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_simple_game(rng, n_max=9)
+    rep = random_rep(rng, n_max=9)
+    return SimpleGame(rep.n, game_from_weighted(rep).min_winning)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(listed_games())
+def test_minimal_coalitions_give_the_minimal_class_vectors(game):
+    # the vectors program of a listed game takes the count vectors of its
+    # minimal winning coalitions over the desirability classes as they
+    # come: they must be exactly the minimal vectors among the count
+    # vectors of all winning coalitions
+    classes, _ = desirability_classes(game)
+    projected = {vector_of_mask(m, classes) for m in game.min_winning}
+    winning = {
+        vector_of_mask(m, classes)
+        for m in range(1 << game.n)
+        if oracle_is_winning(game, m)
+    }
+    minimal = {
+        v for v in winning
+        if not any(u != v and all(map(int.__le__, u, v)) for u in winning)
+    }
+    assert projected == minimal
+    if not game.vetoer_mask():
+        res = nakamura_by_vectors(game)
+        assert res.value == nakamura_exact(game).value == len(res.witness)
+        assert verify_witness(game, res.witness)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_COMPLETE_SMALL))
 def test_solvers_agree_on_complete_games(g):
@@ -576,12 +617,14 @@ def test_solve_stats_record_path_bound_and_settlement():
     assert res.stats.path == "cover" and res.stats.root_source in ("comb", "lp")
     assert res.stats.root_lb <= res.value
     assert (res.stats.settled == "search") == (res.stats.nodes > 0)
+    # one row: the program's ceiling is the closed form, and the greedy
+    # meets it with or without a witness
     g = complete_from_parameters((10, 10), [(7, 8)])
-    assert nakamura_complete(g).stats.path == "complete"
-    closed = nakamura_complete(g, want_witness=False).stats
-    assert closed == SolveStats("complete", 4, "closed_form", "closed_form", 0)
+    complete = nakamura_complete(g).stats
+    assert complete == SolveStats("complete", 4, "comb", "greedy", 0)
+    assert nakamura_complete(g, want_witness=False).stats == complete
     # the record takes no part in equality
-    assert NakamuraResult(3, (1, 2, 4), closed) == NakamuraResult(3, (1, 2, 4))
+    assert NakamuraResult(3, (1, 2, 4), complete) == NakamuraResult(3, (1, 2, 4))
 
 
 def test_complete_value_alone_builds_no_coalition_or_view():

@@ -227,6 +227,10 @@ def test_conjecture_band_probe():
     assert rows[1]["max_nakamura"] == 4 and rows[1]["inside"]
     rows2 = conjecture_band_probe([5], 2)
     assert rows2[0]["max_nakamura"] == 4 and rows2[0]["inside"]
+    # one player is a vetoer: no game, so no verdict either way
+    assert conjecture_band_probe([1], 1) == [
+        {"n": 1, "t": 1, "max_nakamura": None, "band": (1, 2), "inside": None},
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ def test_comments_and_blank_lines_ignored():
         ("simple\nplayers: 3\n1 5\n", 3),
         ("simple\nplayers: 3\n", 2),
         ("complete\nclasses: 2 2\nrow: 3 0\n", 3),
+        # a complete record's violations name its last row line
+        ("complete\nclasses: 2 2\nrow: 2 0\n\nrow: 2 1\n", 5),
         ("csp\nstock: 5\nlengths: -1\n", 3),
         ("weighted\nquota: 5\nweights: 1 1\n", 3),
     ],

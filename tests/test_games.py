@@ -20,6 +20,7 @@ from conftest import (
     random_rep,
     random_simple_game,
     shift_minimal_vectors,
+    vector_of_mask,
 )
 from nakamura.bounds import cardinality_bounds
 from nakamura.games import (
@@ -41,7 +42,6 @@ from nakamura.games import (
     simple_game,
     structure_flags,
     vector_is_winning,
-    vector_of_mask,
     weight_groups,
 )
 
