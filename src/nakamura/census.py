@@ -6,9 +6,11 @@ For a composition ``(n_1, ..., n_t)`` of n, the admissible single rows are
 Nakamura number of each such game comes from the prefix-sum closed form,
 infinite exactly when ``m_1 = n_1``.  That form reads only the prefix sums
 O of the class sizes and P of the row, so the complete census counts them
-by a forward DP over the classes, with state (O_j, O_j - P_j, running
-value), and builds no game.  Only the weighted census builds games, one
-per (composition, row), and decides each without an LP
+by one forward DP over the classes, with state (O_j, O_j - P_j, running
+value), and builds no game.  Each round closes every state with a last
+class and extends it by a middle one, so one pass counts every class
+count t.  Only the weighted census
+builds games, one per (composition, row), and decides each without an LP
 (``is_weighted_r1``): the game is weighted iff one small integer
 Z-matrix, built from O, P and the greatest losing prefix sequences, is a
 nonsingular M-matrix, tested by a Bareiss elimination.  Both verdicts are
@@ -160,46 +162,54 @@ def census(
 
 
 def _complete_r1_counts(n: int) -> dict:
-    """Per-value counts of the single-row complete games, by a forward DP
-    over the classes of each class count t.
+    """Per-value counts of the single-row complete games, by one forward DP
+    over the classes that serves every class count t at once.
 
     A state after class j is ``(O_j, O_j - P_j, v_j)``: the prefix sum of
     the class sizes, its deficit over the row's, and the running
     ``max ceil(O_i / (O_i - P_i))`` (None once ``m_1 = n_1``, the deficit
-    then dropped so those states merge).  The last part is forced to
-    ``n - O_{t-1}``.
+    then dropped so those states merge).  The t = 1 games are counted at
+    once, and the first class seeds the states.  Each round closes every
+    state with a last class of size ``n - O_j`` (``m_t in 0..n_t - 1``,
+    deficit step 1..n_t) and extends it by a middle class of size 2 up to
+    ``n - O_j - 1`` (``m_j in 1..n_j - 1``; a middle class of size 1
+    admits no row).  The DP stops when no state is left.
     """
-    counts: dict = {}
-    for t in range(1, n + 1):
-        states = {(0, 0, 0): 1}
-        for j in range(1, t + 1):
-            left = t - j
-            nxt: dict = {}
-            for (o, d, v), c in states.items():
-                for a in range(1, n - o - left + 1) if left else (n - o,):
-                    o2 = o + a
-                    # the deficit a - m_j that the row entry adds
-                    if j == 1:
-                        lo, hi = 0, a  # m_1 in 1..n_1
-                    elif left:
-                        lo, hi = 1, a  # m_j in 1..n_j - 1
-                    else:
-                        lo, hi = 1, a + 1  # m_t in 0..n_t - 1
-                    if v is None:
-                        if hi > lo:
-                            key = (o2, 0, None)
-                            nxt[key] = nxt.get(key, 0) + c * (hi - lo)
-                    else:
-                        for e in range(lo, hi):
-                            if e == 0:
-                                key = (o2, 0, None)
-                            else:
-                                w = -(-o2 // (d + e))
-                                key = (o2, d + e, max(v, w))
-                            nxt[key] = nxt.get(key, 0) + c
-            states = nxt
-        for (_, _, v), c in states.items():
-            counts[v] = counts.get(v, 0) + c
+    # t = 1: m_1 = n is infinite, else the deficit is e = n - m_1
+    counts: dict = {None: 1}
+    for e in range(1, n):
+        v = -(-n // e)
+        counts[v] = counts.get(v, 0) + 1
+    # the first class of a longer composition: m_1 in 1..n_1
+    states: dict = {}
+    for a in range(1, n):
+        states[(a, 0, None)] = 1
+        for e in range(1, a):
+            states[(a, e, -(-a // e))] = 1
+    while states:
+        nxt: dict = {}
+        for (o, d, v), c in states.items():
+            last = n - o
+            if v is None:
+                # infinite whatever the later rows are: count them by size
+                counts[None] += c * last
+                for a in range(2, last):
+                    key = (o + a, 0, None)
+                    nxt[key] = nxt.get(key, 0) + c * (a - 1)
+                continue
+            # close: the new deficit is d + n_t - m_t, m_t in 0..n_t - 1
+            for e in range(d + 1, d + last + 1):
+                w = -(-n // e)
+                w = v if v > w else w
+                counts[w] = counts.get(w, 0) + c
+            # extend: the new deficit is d + n_j - m_j, m_j in 1..n_j - 1
+            for a in range(2, last):
+                o2 = o + a
+                for e in range(d + 1, d + a):
+                    w = -(-o2 // e)
+                    key = (o2, e, v if v > w else w)
+                    nxt[key] = nxt.get(key, 0) + c
+        states = nxt
     return counts
 
 

@@ -274,6 +274,9 @@ def max_nakamura(
     the first bound, value n forces every minimal winning coalition to have
     n - 1 players (an n-player one would make everyone a vetoer), and with
     no vetoer every (n - 1)-set then wins: the symmetric game, with t = 1.
+    That game exists for n >= 2, so when t = 1 the answer is value n and
+    the games are skipped against the floor n - 1 from the start, not
+    against an incumbent.
 
     A skipped game could never have replaced the incumbent, and no game
     after the stop could either, so the value, the ``exact`` flag and the
@@ -302,13 +305,16 @@ def max_nakamura(
     arg = None
     if klass == CLASS_SIMPLE:
         grand = (1 << n) - 1
+        # skip a game whose bound is at most bar: the floor n - 1 when
+        # t = 1, the incumbent otherwise
+        bar = n - 1 if t == 1 else None
         for masks in simple_antichains(n):
             if reduce(and_, masks, grand):
                 continue  # a vetoer
-            if best is not None and (
-                min(map(int.bit_count, masks)) + 1 <= best
+            if bar is not None and (
+                min(map(int.bit_count, masks)) + 1 <= bar
                 or len(greedy_cover(grand, [grand & ~m for m in masks]))
-                <= best
+                <= bar
             ):
                 continue
             game = SimpleGame(n, masks)
@@ -320,6 +326,8 @@ def max_nakamura(
                 best, arg = value, game
                 if best == top:
                     break
+                if t > 1:
+                    bar = best
     else:
         for g in enumerate_complete(n, parts=t):
             if g.has_vetoers():

@@ -486,6 +486,50 @@ def oracle_census_r1(n: int) -> dict:
     return counts
 
 
+def oracle_complete_r1_counts(n: int) -> dict:
+    """Per-value counts of the single-row complete games, by a forward DP
+    over the classes of each class count t.
+
+    A state after class j is ``(O_j, O_j - P_j, v_j)``: the prefix sum of
+    the class sizes, its deficit over the row's, and the running
+    ``max ceil(O_i / (O_i - P_i))`` (None once ``m_1 = n_1``, the deficit
+    then dropped so those states merge).  The last part is forced to
+    ``n - O_{t-1}``.
+    """
+    counts: dict = {}
+    for t in range(1, n + 1):
+        states = {(0, 0, 0): 1}
+        for j in range(1, t + 1):
+            left = t - j
+            nxt: dict = {}
+            for (o, d, v), c in states.items():
+                for a in range(1, n - o - left + 1) if left else (n - o,):
+                    o2 = o + a
+                    # the deficit a - m_j that the row entry adds
+                    if j == 1:
+                        lo, hi = 0, a  # m_1 in 1..n_1
+                    elif left:
+                        lo, hi = 1, a  # m_j in 1..n_j - 1
+                    else:
+                        lo, hi = 1, a + 1  # m_t in 0..n_t - 1
+                    if v is None:
+                        if hi > lo:
+                            key = (o2, 0, None)
+                            nxt[key] = nxt.get(key, 0) + c * (hi - lo)
+                    else:
+                        for e in range(lo, hi):
+                            if e == 0:
+                                key = (o2, 0, None)
+                            else:
+                                w = -(-o2 // (d + e))
+                                key = (o2, d + e, max(v, w))
+                            nxt[key] = nxt.get(key, 0) + c
+            states = nxt
+        for (_, _, v), c in states.items():
+            counts[v] = counts.get(v, 0) + c
+    return counts
+
+
 def oracle_all_simple_games(n: int) -> list:
     """Every simple game on n labeled players, by the pairwise antichain
     search: each candidate mask, in ascending order, is tested against every

@@ -7,12 +7,14 @@ import pytest
 from conftest import (
     oracle_alpha_critical_vectors,
     oracle_census_r1,
+    oracle_complete_r1_counts,
     oracle_critical_lp,
     oracle_enumerate_complete,
 )
 from nakamura.census import (
     COMPLETE_R1,
     WEIGHTED_R1,
+    _complete_r1_counts,
     census,
     compositions,
     count_r1,
@@ -299,6 +301,12 @@ def test_census_caps():
 def test_complete_census_matches_oracle():
     for n in range(1, 13):
         assert census(n).counts == oracle_census_r1(n), n
+
+
+def test_complete_census_matches_per_class_count_dp():
+    # the one-pass DP against the DP run once per class count t
+    for n in range(1, 21):
+        assert _complete_r1_counts(n) == oracle_complete_r1_counts(n), n
 
 
 def test_complete_census_builds_no_game(monkeypatch):

@@ -388,7 +388,10 @@ def test_decision_modules_divide_in_integers_only():
     # integer ceilings are written -(-a // b): a true division would pass
     # the value through floating point
     root = Path(nakamura.__file__).parent
-    for name in ("exact.py", "census.py", "cover.py", "lp.py"):
+    for name in (
+        "exact.py", "census.py", "cover.py", "lp.py",
+        "games.py", "gamefiles.py", "cli.py",
+    ):
         tree = ast.parse((root / name).read_text(), name)
         divs = [node for node in ast.walk(tree) if isinstance(node, ast.Div)]
         lines = [

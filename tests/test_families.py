@@ -170,6 +170,21 @@ def test_max_nakamura_matches_unpruned_search(klass, n):
         assert (res.value, res.exact, res.witness) == (value, True, witness), t
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_max_nakamura_one_class_classifies_one_game(n, monkeypatch):
+    # with one class only the symmetric game beats the floor n - 1, so it
+    # is the one game whose desirability classes are computed
+    seen = []
+
+    def counted(game):
+        seen.append(game)
+        return desirability_classes(game)
+
+    monkeypatch.setattr(families, "desirability_classes", counted)
+    res = max_nakamura(n, 1, "S")
+    assert res.value == n and seen == [res.witness]
+
+
 def test_max_nakamura_never_keeps_an_unweighted_incumbent(monkeypatch):
     # On at most six players the first complete game to reach each maximum
     # is weighted, so the search above cannot tell whether a game that is
