@@ -9,26 +9,32 @@ O of the class sizes and P of the row, so the complete census counts them
 by one forward DP over the classes, with state (O_j, O_j - P_j, running
 value), and builds no game.  Each round closes every state with a last
 class and extends it by a middle one, so one pass counts every class
-count t.  Only the weighted census
-builds games, one per (composition, row), and decides each without an LP
-(``is_weighted_r1``): the game is weighted iff one small integer
-Z-matrix, built from O, P and the greatest losing prefix sequences, is a
-nonsingular M-matrix, tested by a Bareiss elimination.  Both verdicts are
-certified in integers: a weighted one by ordered class weights and a
-quota, a not-weighted one by non-negative multipliers on losing vectors
-whose combined prefix sums reach as many copies of the row's.  Complete
-games with several shift-minimal rows keep the ordered-weight LP
-(``bounds.is_weighted_vectors``).
+count t.  A single game is decided without an LP (``is_weighted_r1``):
+it is weighted iff one small integer Z-matrix D, built from O, P and the
+greatest losing prefix sequences, is a nonsingular M-matrix, iff its
+leading principal minors are positive, tested by a Bareiss elimination.
+The leading j x j block of D reads only the first j classes, so the
+weighted census builds no game either: it walks prefixes of classes
+depth first, carries the determinant and adjugate of each prefix's
+block, borders them by one class per step, and drops a prefix whose
+minor is not positive together with every game that extends it, since
+the later columns of D are non-positive in that block's rows whatever
+the later classes are.  Every verdict is certified in integers: a
+weighted one by ordered class weights (as non-negative steps) and a
+quota, a not-weighted one, or a pruned prefix, by non-negative
+multipliers on losing vectors whose combined prefix sums reach as many
+copies of the row's.  Complete games with several shift-minimal rows
+keep the ordered-weight LP (``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, gt, mul, sub
+from operator import ge, gt, mul, neg, sub
 from typing import Iterator, Optional
 
-from .bounds import _check_ordered_certificate, is_weighted_vectors
+from .bounds import is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
@@ -137,11 +143,16 @@ def census(
 ) -> CensusRow:
     """Count single-row complete (or weighted) games per Nakamura value.
 
-    The complete census builds no game: ``_complete_r1_counts`` counts the
-    prefix sums of class sizes and row.  The weighted census builds each
-    game of ``enumerate_r1`` and keeps it when ``is_weighted_r1``, an
-    integer M-matrix test with a checked certificate either way, finds it
-    weighted.  Both stop above ``cap`` players.
+    Neither census builds a game.  ``_complete_r1_counts`` counts the
+    prefix sums of class sizes and row.  ``_weighted_r1_counts`` searches
+    prefixes of classes with the ``is_weighted_r1`` M-matrix test carried
+    from each prefix to its extensions, and prunes a prefix whose leading
+    minor is not positive with every game below it: the trade that
+    certifies the prefix holds for every extension, because the later
+    columns of the Z-matrix are non-positive in the prefix's rows.  Every
+    weighted game and every pruned prefix passes an integer certificate
+    check.  The counts come with ``None`` (infinite) first, then the
+    values ascending.  Both stop above ``cap`` players.
     """
     if klass not in (COMPLETE_R1, WEIGHTED_R1):
         raise ValueError(f"unknown census class {klass!r}")
@@ -151,14 +162,11 @@ def census(
         )
     _check_census_args(n)
     if klass == COMPLETE_R1:
-        return CensusRow(n, klass, _complete_r1_counts(n))
-    counts: dict = {}
-    for g in enumerate_r1(n):
-        sizes, row = g.class_sizes, g.shift_min[0]
-        if is_weighted_r1(sizes, row):
-            v = r1_value(sizes, row)
-            counts[v] = counts.get(v, 0) + 1
-    return CensusRow(n, klass, counts)
+        counts = _complete_r1_counts(n)
+    else:
+        counts = _weighted_r1_counts(n)
+    order = sorted(counts, key=lambda v: -1 if v is None else v)
+    return CensusRow(n, klass, {v: counts[v] for v in order})
 
 
 def _complete_r1_counts(n: int) -> dict:
@@ -213,6 +221,91 @@ def _complete_r1_counts(n: int) -> dict:
     return counts
 
 
+def _weighted_r1_counts(n: int) -> dict:
+    """Per-value counts of the weighted single-row complete games, by a
+    depth-first search over prefixes of classes ``(n_j, m_j)`` that shares
+    each prefix's part of the ``is_weighted_r1`` test with every game
+    extending it.
+
+    The leading block B of ``D`` over the first j classes reads only their
+    prefix sums and deficits, and every node of the search has all leading
+    minors of B positive.  It carries ``det(B)`` and ``adj(B)``: bordering
+    B by class z, with column ``b_i = 1 - (def_z - def_i)``, row
+    ``c_k = P_k - min(O_k, P_z - 1)`` and diagonal 1, gives ``v = adj(B)
+    b``, ``w = c adj(B)``, ``det(A) = det(B) - c v`` and ``adj(A) =
+    [[(det(A) adj(B) + v w) / det(B), -v], [-w, det(B)]]``, with exact
+    division.  A border with ``det(A) <= 0`` is pruned with its subtree:
+    ``lam = (-w, det(B)) >= 0`` gives ``lam A = (0, ..., 0, det(A))``, and
+    every later column of ``D`` is ``<= 0`` in A's rows whatever the later
+    classes are, so the trade checked on the prefix columns holds for every
+    game below.  A node closes with the last class: ``m_t = 0`` is weighted
+    with steps ``(adj(B) 1, 0)``, ``m_t >= 1`` is weighted iff its bordered
+    ``det(A) > 0``, with steps ``adj(A) 1``, and otherwise gets its own
+    trade.  Every weighted game's steps are checked as well.
+    """
+    counts: dict = {}
+
+    def grow(value, o, deficit):
+        return None if value is None else max(value, -(-o // deficit))
+
+    def tally(value):
+        counts[value] = counts.get(value, 0) + 1
+
+    def visit(o, p, deficits, value, det_b, adj_b):
+        oj, pj, dj = o[-1], p[-1], deficits[-1]
+        last = n - oj
+        cols = list(zip(*adj_b))
+        steps = [sum(r) for r in adj_b]
+        # m_t = 0: row t is implied by row t - 1, and d_t = 0
+        o2, p2 = o + [n], p + [pj]
+        _check_step_certificate(p2, _greatest_losing(o2, p2), steps + [0])
+        tally(grow(value, n, dj + last))
+        # a middle class of size 2..last - 1, or the last class of size last
+        for size in range(2, last + 1):
+            oz = oj + size
+            o2 = o + [oz]
+            for x in range(1, size):
+                pz, dz = pj + x, dj + size - x
+                b = [1 - dz + d for d in deficits]
+                c = [pk - min(ok, pz - 1) for ok, pk in zip(o, p)]
+                v = [sum(map(mul, r, b)) for r in adj_b]
+                w = [sum(map(mul, c, col)) for col in cols]
+                det_a = det_b - sum(map(mul, c, v))
+                p2 = p + [pz]
+                if det_a <= 0:
+                    lam = [*map(neg, w), det_b]
+                    _check_trade_certificate(p2, _greatest_losing(o2, p2), lam)
+                elif size == last:
+                    sigma = sum(w)
+                    leaf = [
+                        (det_a * s + sigma * y) // det_b - y
+                        for s, y in zip(steps, v)
+                    ]
+                    leaf.append(det_b - sigma)
+                    _check_step_certificate(p2, _greatest_losing(o2, p2), leaf)
+                    tally(grow(value, n, dz))
+                else:
+                    adj_a = [
+                        [(det_a * e + y * f) // det_b for e, f in zip(r, w)]
+                        + [-y]
+                        for r, y in zip(adj_b, v)
+                    ]
+                    adj_a.append([*map(neg, w), det_b])
+                    grown = grow(value, oz, dz)
+                    visit(o2, p2, deficits + [dz], grown, det_a, adj_a)
+
+    # t = 1: the weight 1 and the quota m_1
+    for x in range(1, n + 1):
+        _check_step_certificate([x], [[x - 1]], [1])
+        tally(None if x == n else grow(0, n, n - x))
+    # the first class, m_1 in 1..n_1: its block is (1)
+    for size in range(1, n):
+        for x in range(1, size + 1):
+            value = None if x == size else grow(0, size, size - x)
+            visit([size], [x], [size - x], value, 1, [[1]])
+    return counts
+
+
 def is_weighted_complete(g: CompleteGame) -> bool:
     """Whether a complete game is weighted: by ``is_weighted_r1`` for one
     shift-minimal row, else by the ordered-weight LP on its shift-minimal
@@ -256,9 +349,8 @@ def is_weighted_r1(sizes, row) -> bool:
 
     * weighted: the steps ``d = det(D) D^-1 1 >= 0`` (and ``d_t = 0`` if
       dropped), by fraction-free back-substitution, give ``D d = det(D) 1
-      > 0``; their suffix sums are
-      class weights and the row's weight is the quota
-      (``_check_ordered_certificate`` on every ``G^(i)``);
+      > 0``; their suffix sums are class weights and the row's weight is
+      the quota (``_check_step_certificate`` on every ``G^(i)``);
     * not weighted: if ``A`` is the first leading block of ``D`` whose
       minor is not positive, the last row ``lam`` of ``adj(A)`` is
       non-negative and non-zero (the block before ``A`` is a nonsingular
@@ -270,10 +362,7 @@ def is_weighted_r1(sizes, row) -> bool:
     o = prefix_sums(sizes)
     p = prefix_sums(row)
     t = len(o)
-    greatest = [
-        [min(ok, pi - 1) for ok in o[:i]] + [pi - 1 - oi + ok for ok in o[i:]]
-        for i, (oi, pi) in enumerate(zip(o, p))
-    ]
+    greatest = _greatest_losing(o, p)
     # m_1 >= 1, so a zero last entry means t >= 2
     s = t - 1 if row[-1] == 0 else t
     ps = p[:s]
@@ -281,10 +370,7 @@ def is_weighted_r1(sizes, row) -> bool:
     k = len(m) - 1
     if m[k][k] > 0:
         steps = _back_substitute(m) + [0] * (t - s)
-        weights = list(itertools.accumulate(reversed(steps)))[::-1]
-        quota = sum(map(mul, p, steps))
-        losing = [tuple(map(sub, g, [0] + g[:-1])) for g in greatest]
-        _check_ordered_certificate((row,), losing, weights, quota)
+        _check_step_certificate(p, greatest, steps)
         return True
     # lam = (det(B) (-c) B^-1, det(B)) for A = [[B, b], [c, a]]: solve
     # B^T y = -c, whose last pivot is det(B); B's leading minors are
@@ -294,6 +380,17 @@ def is_weighted_r1(sizes, row) -> bool:
     lam = _back_substitute(m) + [m[-1][-2]]
     _check_trade_certificate(p, greatest[: k + 1], lam)
     return False
+
+
+def _greatest_losing(o, p) -> list[list[int]]:
+    """The greatest losing prefix-sum sequence ``G^(i)`` of each class i of
+    the single-row game with prefix sums ``o`` of the class sizes and ``p``
+    of the row: ``min(O_k, P_i - 1)`` for ``k < i``, ``P_i - 1 + O_k -
+    O_i`` for ``k >= i``."""
+    return [
+        [min(ok, pi - 1) for ok in o[:i]] + [pi - 1 - oi + ok for ok in o[i:]]
+        for i, (oi, pi) in enumerate(zip(o, p))
+    ]
 
 
 def _bareiss(rows) -> list[list[int]]:
@@ -331,6 +428,23 @@ def _back_substitute(m) -> list[int]:
         rest = sum(map(mul, r[k + 1 : s], x[k + 1 :]))
         x[k] = (det * r[s] - rest) // r[k]
     return x
+
+
+def _check_step_certificate(row_sums, losing_sums, steps) -> None:
+    """Check in integers that non-negative steps ``d`` give the row with
+    prefix sums ``row_sums`` more weight than each prefix-sum sequence in
+    ``losing_sums``; raise ``InvariantError`` otherwise.
+
+    A vector with prefix sums ``C`` weighs ``C d`` under the class weights
+    ``w_k = d_k + ... + d_t``, which are non-negative and ordered.  Every
+    winning vector has ``C >= row_sums`` and every losing one lies below
+    one of ``losing_sums``, so the row's weight is a quota that separates
+    them."""
+    if any(x < 0 for x in steps):
+        raise InvariantError("certificate steps are negative")
+    quota = sum(map(mul, row_sums, steps))
+    if any(sum(map(mul, g, steps)) >= quota for g in losing_sums):
+        raise InvariantError("a losing sequence reaches the quota")
 
 
 def _check_trade_certificate(row_sums, losing_sums, lam) -> None:

@@ -13,7 +13,8 @@ desirability classes have a second oracle, the exchange test over the
 minimal winning vectors merged by union-find, which reads no winning table.  Helpers that only tests call
 (``vector_of_mask``, ``shift_minimal_vectors``, ``canonical_vector_form``,
 ``trim_to_partition``, ``validate_alpha_roughly``) live here too, and so
-does the census oracle, which counts the games ``enumerate_r1`` builds, the
+do the census oracles, which count the games ``enumerate_r1`` builds (all
+of them, or those ``is_weighted_r1`` finds weighted), the
 pairwise antichain searches that enumerate every simple and every complete
 game on a few players, and the unpruned exhaustive search for the maximum
 Nakamura number built on them.
@@ -483,6 +484,20 @@ def oracle_census_r1(n: int) -> dict:
     for g in enumerate_r1(n):
         v = r1_value(g.class_sizes, g.shift_min[0])
         counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def oracle_weighted_r1_counts(n: int) -> dict:
+    """Per-value counts of the weighted single-row census, by deciding
+    every game ``enumerate_r1`` builds with ``is_weighted_r1``."""
+    from nakamura.census import enumerate_r1, is_weighted_r1, r1_value
+
+    counts: dict = {}
+    for g in enumerate_r1(n):
+        sizes, row = g.class_sizes, g.shift_min[0]
+        if is_weighted_r1(sizes, row):
+            v = r1_value(sizes, row)
+            counts[v] = counts.get(v, 0) + 1
     return counts
 
 

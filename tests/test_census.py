@@ -10,6 +10,7 @@ from conftest import (
     oracle_complete_r1_counts,
     oracle_critical_lp,
     oracle_enumerate_complete,
+    oracle_weighted_r1_counts,
 )
 from nakamura.census import (
     COMPLETE_R1,
@@ -271,6 +272,42 @@ def test_weighted_r1_checks_both_certificates(monkeypatch, tamper):
             is_weighted_r1(g.class_sizes, g.shift_min[0])
 
 
+@pytest.mark.parametrize("tamper", ["negate", "zero"])
+@pytest.mark.parametrize(
+    "check, o, p",
+    [
+        # the weighted leaf of classes (1, 2, 4) and row (1, 1, 1), whose
+        # steps come from the bordered adjugate of its first two classes
+        ("_check_step_certificate", [1, 3, 7], [1, 2, 3]),
+        # the prefix of classes (2, 4) and row (1, 2), pruned at n = 7
+        # above its last class of size 1
+        ("_check_trade_certificate", [2, 6], [1, 3]),
+    ],
+    ids=["leaf-steps", "prefix-trade"],
+)
+def test_weighted_census_checks_leaf_and_prefix_certificates(
+    monkeypatch, check, o, p, tamper
+):
+    assert is_weighted_r1((1, 2, 4), (1, 1, 1))
+    assert not is_weighted_r1((2, 4, 1), (1, 2, 0))
+    module = importlib.import_module("nakamura.census")
+    real = getattr(module, check)
+    change = {"negate": lambda x: -x, "zero": lambda x: 0}[tamper]
+    target = (p, module._greatest_losing(o, p))
+    seen = []
+
+    def tampered(row_sums, losing_sums, numbers):
+        if (row_sums, losing_sums) == target:
+            seen.append(numbers)
+            numbers = [change(x) for x in numbers]
+        real(row_sums, losing_sums, numbers)
+
+    monkeypatch.setattr(module, check, tampered)
+    with pytest.raises(InvariantError):
+        census(7, WEIGHTED_R1)
+    assert len(seen) == 1
+
+
 def test_trade_certificate_rejects_broken_trades():
     from nakamura.census import _check_trade_certificate
 
@@ -319,6 +356,52 @@ def test_complete_census_builds_no_game(monkeypatch):
     monkeypatch.setattr(CompleteGame, "_trusted", refuse)
     for n in range(1, 17):
         assert census(n).total() == count_r1(n)
+
+
+def test_weighted_census_builds_no_game(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weighted census built a game")
+
+    module = importlib.import_module("nakamura.census")
+    monkeypatch.setattr(module, "enumerate_r1", refuse)
+    monkeypatch.setattr(module, "is_weighted_r1", refuse)
+    monkeypatch.setattr(CompleteGame, "_trusted", refuse)
+    assert columns(census(6, WEIGHTED_R1), 6) == [32, 17, 8, 2, 1, 1]
+
+
+def test_weighted_census_matches_per_game_loop():
+    # the prefix search against deciding each game of enumerate_r1
+    for n in range(1, 15):
+        expected = oracle_weighted_r1_counts(n)
+        assert census(n, WEIGHTED_R1).counts == expected, n
+
+
+def test_weighted_games_have_at_most_four_classes():
+    # observed up to n = 12, and not assumed by the prefix search: a
+    # weighted single-row game has t <= 3, or t = 4 with m_4 = 0; those
+    # number k^2 (k^2 - 1) / 12 for k = n - 4
+    for n in range(1, 13):
+        four = 0
+        for g in enumerate_r1(n):
+            sizes, row = g.class_sizes, g.shift_min[0]
+            if is_weighted_r1(sizes, row):
+                t = len(sizes)
+                assert t <= 3 or (t == 4 and row[-1] == 0), (sizes, row)
+                four += t == 4
+        k = max(n - 4, 0)
+        assert four == k * k * (k * k - 1) // 12, n
+
+
+def test_census_counts_come_in_value_order():
+    # None (infinite) first, then the values ascending, whatever order the
+    # DP or the search meets them in; README shows the n = 6 row
+    assert repr(census(6, COMPLETE_R1).counts) == (
+        "{None: 32, 2: 19, 3: 8, 4: 2, 5: 1, 6: 1}"
+    )
+    for klass in (COMPLETE_R1, WEIGHTED_R1):
+        for n in range(1, 13):
+            keys = list(census(n, klass).counts)
+            assert keys == [None] + sorted(keys[1:]), (klass, n)
 
 
 def test_census_totals_past_the_cap():
