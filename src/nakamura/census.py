@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import ge, gt, mul, neg, sub
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bounds import is_weighted_vectors
 from .games import (
@@ -473,7 +474,9 @@ def _check_trade_certificate(row_sums, losing_sums, lam) -> None:
 
 
 def enumerate_complete(
-    n: int, parts: Optional[int] = None
+    n: int,
+    parts: Optional[int] = None,
+    skip: Optional[Callable[[tuple[int, ...], tuple], bool]] = None,
 ) -> Iterator[CompleteGame]:
     """All complete games on n players, optionally with a fixed class count.
 
@@ -482,6 +485,9 @@ def enumerate_complete(
     classes, in the depth-first order of ``games.antichains`` over the
     lattice in decreasing lexicographic order.  Intended for small n (the
     state space grows like the number of antichains of the vector lattice).
+    ``skip(sizes, rows)`` is asked at every node of each composition's
+    search, whether its rows separate the classes or not; a node where it
+    is true is neither yielded nor extended.
     """
     for sizes in compositions(n, parts):
         t = len(sizes)
@@ -513,10 +519,17 @@ def enumerate_complete(
             for v in lattice
         ]
         every_split = (1 << (t - 1)) - 1
-        for chosen in antichains(later):
+        node_skip = (
+            None if skip is None else partial(_skip_rows, skip, sizes, lattice)
+        )
+        for chosen in antichains(later, node_skip):
             split = 0
             for k in chosen:
                 split |= splits[k]
             if split == every_split:
                 rows = tuple(map(lattice.__getitem__, chosen))
                 yield CompleteGame._trusted(sizes, rows)
+
+
+def _skip_rows(skip, sizes, lattice, chosen) -> bool:
+    return skip(sizes, tuple(map(lattice.__getitem__, chosen)))

@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import ceil
-from operator import and_
-from typing import Iterator, Optional, Union
+from operator import and_, sub
+from typing import Callable, Iterator, Optional, Union
 
 from .games import (
     CapacityError,
@@ -41,17 +41,18 @@ from .games import (
     desirability_classes,
     masks_with_vectors,
     player_blocks,
+    prefix_sums,
     simple_game,
 )
-from .census import enumerate_complete, is_weighted_complete
+from .census import enumerate_complete, is_weighted_complete, r1_value
 from .cover import greedy_cover
-from .exact import nakamura_complete, nakamura_exact
+from .exact import _greedy_columns, nakamura_complete, nakamura_exact
 
 CLASS_SIMPLE = "S"
 CLASS_COMPLETE = "C"
 CLASS_WEIGHTED = "T"
 
-EXHAUSTIVE_CAP = {CLASS_SIMPLE: 5, CLASS_COMPLETE: 7, CLASS_WEIGHTED: 7}
+EXHAUSTIVE_CAP = {CLASS_SIMPLE: 6, CLASS_COMPLETE: 7, CLASS_WEIGHTED: 7}
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,9 @@ def _marked_subset_game(n: int, t: int, k: int) -> SimpleGame:
 
 
 def _padding_ceiling(qbar: Fraction, denom: int) -> int:
-    qr = Fraction(ceil(qbar * denom), denom)
-    return ceil(1 / (1 - qr))
+    # ceil(1 / (1 - c / denom)) for the quota c = ceil(qbar * denom)
+    c = ceil(qbar * denom)
+    return -(-denom // (denom - c))
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def _unit_padding(weights, qbar, r: int) -> PaddedGame:
     _require(r >= 1, "unit-padding needs r >= 1")
     omega = sum(ws)
     rep = WeightedRep(qbar * (omega + r), tuple(ws) + (1,) * r)
-    met = r >= max(omega, (2 + max(ws)) / (1 - qbar))
+    met = r >= omega and r * (1 - qbar) >= 2 + max(ws)
     return PaddedGame(rep, _padding_ceiling(qbar, omega + r), met)
 
 
@@ -219,19 +221,26 @@ class MaxNakResult:
     family: Optional[str] = None
 
 
-def simple_antichains(n: int) -> Iterator[tuple[int, ...]]:
+def simple_antichains(
+    n: int, skip: Optional[Callable[[tuple[int, ...]], bool]] = None
+) -> Iterator[tuple[int, ...]]:
     """Every antichain of nonempty coalitions of n labeled players, as
     ascending mask tuples, in the depth-first order of ``games.antichains``
     over the masks 1..2^n - 1: the minimal winning coalitions of every
-    simple game on n players, each game once."""
+    simple game on n players, each game once.  An antichain with
+    ``skip(masks)`` true is neither yielded nor extended."""
     # point m is mask m; a larger mask is never a subset of a smaller one
     later = [
         sum(1 << j for j in range(m + 1, 1 << n) if m & j != m)
         for m in range(1 << n)
     ]
-    search = antichains(later)
-    next(search)  # the empty coalition, point 0, is a subset of every mask
-    yield from search
+    yield from antichains(later, partial(_skip_nonempty, skip))
+
+
+def _skip_nonempty(skip, masks) -> bool:
+    # the empty coalition, point 0, is a subset of every mask: the antichain
+    # (0,) comes first and has no extension
+    return not masks[0] or (skip is not None and skip(masks))
 
 
 def all_simple_games(n: int) -> Iterator[SimpleGame]:
@@ -246,27 +255,33 @@ def max_nakamura(
     """Maximum Nakamura number of a vetoer-free game with n players and t
     classes in the simple (S) / complete (C) / weighted (T) family.
 
-    Exhaustive mode is guaranteed for n <= 5 (S) and n <= 7 (C, T);
+    Exhaustive mode is guaranteed for n <= 6 (S) and n <= 7 (C, T);
     construction mode returns the best catalog lower bound instead.
 
     The exhaustive search keeps the first game, in enumeration order, whose
-    value is strictly greater than the best found so far (the incumbent),
-    and skips every game that cannot be that, before the costly steps run.
-    A simple game is first seen as the bare masks of its minimal winning
-    coalitions.  A game whose masks' AND is nonempty has a vetoer.  Two
-    upper bounds follow, and a game whose bound is at most the incumbent
-    is skipped before its ``SimpleGame``, view, desirability classes and
-    exact value are built:
+    value is strictly greater than the best found so far (the incumbent).
+    Games come from the depth-first antichain search of ``games.antichains``
+    (the minimal winning coalitions of a simple game, the shift-minimal rows
+    of a complete one), and every extension of an antichain there adds
+    members, so its winning set contains the node's.  The Nakamura number
+    never rises when winning coalitions are added, so an upper bound on a
+    node's value bounds every vetoer-free game in its subtree, and a node
+    whose bound is at most the incumbent is skipped with its subtree.  The
+    bounds, each from k winning coalitions with an empty intersection:
 
-    * |S| + 1 for the smallest minimal winning coalition S.  The game has no
-      vetoer, so for each i in S some winning coalition avoids i; with S
-      these are |S| + 1 winning coalitions with an empty intersection.
-    * k for a greedy cover of the player set by k complements of minimal
-      winning coalitions: those k coalitions win and have an empty
-      intersection.
-
-    A complete game's value is solved first, and only a game that beats the
-    incumbent is tested for weightedness (class T).
+    * simple games: |S| + 1 for the smallest member S.  A vetoer-free
+      extension has, for each i in S, a winning coalition avoiding i; with
+      S these are |S| + 1.  When the members' AND is empty, also the size
+      of a greedy cover of the players by the members' complements.  Both
+      hold for every extension even when the node itself has a vetoer.
+    * complete games: the smallest single-row closed form
+      ``census.r1_value`` over the node's rows, then the greedy of the
+      prefix program over all of them (columns ``O - P``, demand ``O``, as
+      in ``exact.nakamura_complete``), whose witness argument needs no
+      class to be separated.  A node whose rows all keep class 1 full has a
+      vetoer and no bound.  The class count and the split of neighbouring
+      classes are tested on the yielded games only, and a complete game's
+      weightedness (class T) only once its value beats the incumbent.
 
     The search stops at the first incumbent of value ``n`` if t = 1, and
     ``n - 1`` otherwise, which no later game can beat.  A vetoer-free game
@@ -274,13 +289,14 @@ def max_nakamura(
     the first bound, value n forces every minimal winning coalition to have
     n - 1 players (an n-player one would make everyone a vetoer), and with
     no vetoer every (n - 1)-set then wins: the symmetric game, with t = 1.
-    That game exists for n >= 2, so when t = 1 the answer is value n and
-    the games are skipped against the floor n - 1 from the start, not
-    against an incumbent.
+    That game exists for n >= 2 and is weighted, so when t = 1 the answer
+    is value n and nodes are skipped against the floor n - 1 from the
+    start, not against an incumbent.
 
-    A skipped game could never have replaced the incumbent, and no game
-    after the stop could either, so the value, the ``exact`` flag and the
-    witness are those of the unpruned search.
+    A skipped subtree holds no game that strictly beats the incumbent (or
+    reaches n when t = 1), and no game after the stop could either, so the
+    value, the ``exact`` flag and the witness are those of the unpruned
+    search.
     """
     if klass not in (CLASS_SIMPLE, CLASS_COMPLETE, CLASS_WEIGHTED):
         raise ValueError(f"unknown game class {klass!r}")
@@ -301,22 +317,20 @@ def max_nakamura(
         )
 
     top = n if t == 1 else n - 1
+    # skip a subtree whose bound is at most bar: the floor n - 1 when t = 1,
+    # the incumbent otherwise
+    bar: Optional[int] = n - 1 if t == 1 else None
     best: Optional[int] = None
     arg = None
     if klass == CLASS_SIMPLE:
         grand = (1 << n) - 1
-        # skip a game whose bound is at most bar: the floor n - 1 when
-        # t = 1, the incumbent otherwise
-        bar = n - 1 if t == 1 else None
-        for masks in simple_antichains(n):
+
+        def skip(masks):
+            return bar is not None and _simple_bound_at_most(grand, masks, bar)
+
+        for masks in simple_antichains(n, skip):
             if reduce(and_, masks, grand):
                 continue  # a vetoer
-            if bar is not None and (
-                min(map(int.bit_count, masks)) + 1 <= bar
-                or len(greedy_cover(grand, [grand & ~m for m in masks]))
-                <= bar
-            ):
-                continue
             game = SimpleGame(n, masks)
             classes, _ = desirability_classes(game)
             if len(classes) != t:
@@ -329,7 +343,13 @@ def max_nakamura(
                 if t > 1:
                     bar = best
     else:
-        for g in enumerate_complete(n, parts=t):
+
+        def skip(sizes, rows):
+            return bar is not None and _complete_bound_at_most(
+                sizes, rows, bar
+            )
+
+        for g in enumerate_complete(n, parts=t, skip=skip):
             if g.has_vetoers():
                 continue
             value = nakamura_complete(g, want_witness=False).value
@@ -340,7 +360,33 @@ def max_nakamura(
             best, arg = value, g
             if best == top:
                 break
+            if t > 1:
+                bar = best
     return MaxNakResult(best, True, arg)
+
+
+def _simple_bound_at_most(grand: int, masks, bar: int) -> bool:
+    """Whether an upper bound on the value of every vetoer-free simple game
+    whose minimal winning coalitions include ``masks`` is at most ``bar``."""
+    if min(map(int.bit_count, masks)) + 1 <= bar:
+        return True
+    if reduce(and_, masks, grand):
+        return False
+    return len(greedy_cover(grand, [grand & ~m for m in masks])) <= bar
+
+
+def _complete_bound_at_most(sizes, rows, bar: int) -> bool:
+    """Whether an upper bound on the value of every vetoer-free complete
+    game with class sizes ``sizes`` whose shift-minimal rows include
+    ``rows`` is at most ``bar``; False when every row keeps class 1 full."""
+    free = [row for row in rows if row[0] < sizes[0]]
+    if not free:
+        return False
+    if min(r1_value(sizes, row) for row in free) <= bar:
+        return True
+    o = prefix_sums(sizes)
+    columns = [tuple(map(sub, o, prefix_sums(row))) for row in rows]
+    return sum(_greedy_columns(columns, o)) <= bar
 
 
 def _construction_bound(n: int, t: int) -> MaxNakResult:

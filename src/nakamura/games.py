@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import comb, gcd, lcm, prod
 from operator import and_, eq, ge, mul, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_PLAYERS = 64
 
@@ -102,20 +102,25 @@ def sort_coalitions(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=players_from_mask))
 
 
-def antichains(later: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def antichains(
+    later: Sequence[int],
+    skip: Optional[Callable[[tuple[int, ...]], bool]] = None,
+) -> Iterator[tuple[int, ...]]:
     """Every nonempty antichain of points ``0..len(later) - 1``, as
     ascending index tuples, depth-first: each antichain comes right before
     its extensions by later points, and those in ascending order.
 
     ``later[k]`` is the bitset of the points after k that are incomparable
     to point k, so the points that may extend an antichain are the AND of
-    its members' ``later`` sets and no pair is ever compared.
+    its members' ``later`` sets and no pair is ever compared.  An antichain
+    with ``skip(path)`` true is neither yielded nor extended; every other
+    one comes in the same order as with ``skip=None``.
     """
-    return _antichains_from((), (1 << len(later)) - 1, later)
+    return _antichains_from((), (1 << len(later)) - 1, later, skip)
 
 
 def _antichains_from(
-    chosen: tuple[int, ...], allowed: int, later: Sequence[int]
+    chosen: tuple[int, ...], allowed: int, later: Sequence[int], skip
 ) -> Iterator[tuple[int, ...]]:
     # module level, not a closure, so a running search holds no cycle
     while allowed:
@@ -123,8 +128,10 @@ def _antichains_from(
         allowed ^= low
         k = low.bit_length() - 1
         path = chosen + (k,)
+        if skip is not None and skip(path):
+            continue
         yield path
-        yield from _antichains_from(path, allowed & later[k], later)
+        yield from _antichains_from(path, allowed & later[k], later, skip)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,14 @@ def test_maxnak(capsys):
     assert out.startswith("4 (exact maximum)")
 
 
+def test_maxnak_six_player_simple_games_are_exhaustive(capsys):
+    # vetoer-free simple games on six players with five classes exist, and
+    # the exhaustive search finds their maximum
+    code, out = run(capsys, "maxnak", "6", "5", "S")
+    assert code == 0
+    assert out.splitlines()[:2] == ["4 (exact maximum)", "simple"]
+
+
 @pytest.mark.parametrize(
     "args,expected",
     [

@@ -390,7 +390,7 @@ def test_decision_modules_divide_in_integers_only():
     root = Path(nakamura.__file__).parent
     for name in (
         "exact.py", "census.py", "cover.py", "lp.py",
-        "games.py", "gamefiles.py", "cli.py",
+        "games.py", "gamefiles.py", "cli.py", "families.py",
     ):
         tree = ast.parse((root / name).read_text(), name)
         divs = [node for node in ast.walk(tree) if isinstance(node, ast.Div)]

@@ -170,7 +170,7 @@ def test_max_nakamura_matches_unpruned_search(klass, n):
         assert (res.value, res.exact, res.witness) == (value, True, witness), t
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_max_nakamura_one_class_classifies_one_game(n, monkeypatch):
     # with one class only the symmetric game beats the floor n - 1, so it
     # is the one game whose desirability classes are computed
@@ -189,9 +189,10 @@ def test_max_nakamura_never_keeps_an_unweighted_incumbent(monkeypatch):
     # On at most six players the first complete game to reach each maximum
     # is weighted, so the search above cannot tell whether a game that is
     # not weighted ever became the incumbent.  Fed only those games, the T
-    # search must find none, while the C search finds them.
-    def unweighted(n, parts=None):
-        for g in enumerate_complete(n, parts):
+    # search must find none, while the C search finds them.  The stub
+    # passes the search's subtree skip through, so it prunes as usual.
+    def unweighted(n, parts=None, skip=None):
+        for g in enumerate_complete(n, parts, skip):
             if not is_weighted_complete(g):
                 yield g
 
@@ -203,27 +204,74 @@ def test_max_nakamura_never_keeps_an_unweighted_incumbent(monkeypatch):
     assert found
 
 
+# The first game to reach each maximum on seven players, for t = 1..7, as
+# the unpruned search found it: (value, class sizes, shift-minimal rows).
+# The C and T witnesses coincide.
+SEVEN_PLAYER_WITNESSES = [
+    (7, (7,), ((6,),)),
+    (6, (4, 3), ((4, 1), (3, 3))),
+    (6, (1, 5, 1), ((1, 4, 0), (0, 5, 1))),
+    (5, (1, 1, 3, 2), ((1, 1, 2, 0), (1, 0, 3, 1), (0, 1, 3, 2))),
+    (5, (1, 1, 3, 1, 1), ((1, 1, 2, 0, 1), (1, 0, 3, 1, 0), (0, 1, 3, 1, 1))),
+    (
+        5,
+        (1, 1, 1, 2, 1, 1),
+        (
+            (1, 1, 1, 1, 0, 0),
+            (1, 1, 0, 2, 0, 1),
+            (1, 0, 1, 2, 1, 0),
+            (0, 1, 1, 2, 1, 1),
+        ),
+    ),
+    (
+        4,
+        (1,) * 7,
+        (
+            (1, 1, 1, 1, 0, 0, 0),
+            (1, 1, 1, 0, 0, 1, 1),
+            (1, 1, 0, 1, 1, 0, 1),
+            (1, 0, 1, 1, 1, 1, 0),
+            (0, 1, 1, 1, 1, 1, 1),
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize("klass", ["C", "T"])
 def test_max_nakamura_seven_players(klass):
-    # the exhaustive maxima for t = 1..7 on seven players; each witness
-    # reaches its value with t classes and no vetoer
+    # the exhaustive maxima for t = 1..7 on seven players and the unpruned
+    # search's witnesses; each witness reaches its value with t classes and
+    # no vetoer
     assert EXHAUSTIVE_CAP[klass] == 7
-    values = []
-    for t in range(1, 8):
+    for t, (value, sizes, rows) in enumerate(SEVEN_PLAYER_WITNESSES, 1):
         res = max_nakamura(7, t, klass)
         g = res.witness
+        assert (res.value, g.class_sizes, g.shift_min) == (value, sizes, rows)
         assert res.exact and g.n == 7 and g.t == t and not g.has_vetoers()
         assert nakamura_complete(g, want_witness=False).value == res.value
         assert klass == "C" or is_weighted_complete(g)
+
+
+def test_max_nakamura_six_players_simple():
+    # the exhaustive simple-game maxima for t = 1..6 on six players; each
+    # witness has no vetoer, t desirability classes and its value
+    assert EXHAUSTIVE_CAP["S"] == 6
+    values = []
+    for t in range(1, 7):
+        res = max_nakamura(6, t, "S")
+        g = res.witness
+        assert res.exact and g.n == 6 and not g.vetoer_mask()
+        assert len(desirability_classes(g)[0]) == t
+        assert nakamura_exact(g).value == res.value
         values.append(res.value)
-    assert values == [7, 6, 6, 5, 5, 5, 4]
+    assert values == [6, 5, 5, 4, 4, 4]
 
 
 def test_max_nakamura_cap():
     with pytest.raises(CapacityError):
         max_nakamura(8, 2, "T", mode="exhaustive")
     with pytest.raises(CapacityError):
-        max_nakamura(6, 2, "S", mode="exhaustive")
+        max_nakamura(7, 2, "S", mode="exhaustive")
 
 
 def test_max_nakamura_construction_mode():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from nakamura.games import (
     InvalidGameError,
     SimpleGame,
     WeightedRep,
+    antichains,
     classify_players,
     complete_from_parameters,
     desirability_classes,
@@ -144,6 +146,46 @@ def test_antichain_exhaustive_small():
         for i, a in enumerate(ms):
             for b in ms[i + 1 :]:
                 assert a & b != a and a & b != b
+
+
+def test_antichains_skip_drops_whole_subtrees():
+    # points are the subsets of a 4-set, point m being mask m: a later
+    # mask is never a subset of an earlier one
+    later = [
+        sum(1 << j for j in range(m + 1, 16) if m & j != m) for m in range(16)
+    ]
+    # depth first, each antichain before its extensions by later points:
+    # the lexicographic order of the ascending index tuples
+    everything = sorted(
+        combo
+        for k in range(1, 7)
+        for combo in itertools.combinations(range(16), k)
+        if all(
+            a & b not in (a, b) for a, b in itertools.combinations(combo, 2)
+        )
+    )
+    assert list(antichains(later)) == everything
+    assert list(antichains(later, None)) == everything
+
+    def blocked(path):
+        return 3 in path or path[:2] == (1, 6)
+
+    def skip(path):
+        asked.append(path)
+        return blocked(path)
+
+    asked = []
+    kept = list(antichains(later, skip))
+    # a node is asked once unless a proper prefix of it was skipped, and it
+    # is yielded, in its old place, unless it is skipped itself
+    assert asked == [
+        path
+        for path in everything
+        if not any(blocked(path[:i]) for i in range(1, len(path)))
+    ]
+    assert kept == [path for path in asked if not blocked(path)]
+    assert (3,) in asked and (1, 6) in asked and (1, 6, 8) not in asked
+    assert (1, 6) not in kept and (1, 8) in kept
 
 
 def test_simple_game_rejects_non_antichain():
