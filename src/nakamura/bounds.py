@@ -31,16 +31,17 @@ every losing row at most alpha, solved as its dual with one row per weight.
   row is decided without an LP by ``census.is_weighted_r1``): the same
   threshold over ordered class weights, with rows only for its
   shift-minimal winning rows and its shift-maximal losing vectors, and a
-  weighted verdict certified by integer weights and quota.
+  weighted verdict certified by integer steps checked against the
+  lightest row: every winning vector dominates some row, so it weighs at
+  least the lightest one, and every losing vector must weigh less.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import ceil, lcm
-from operator import lt, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
@@ -295,37 +296,38 @@ def is_weighted_vectors(shift_min, losing) -> bool:
     The LP is ``_critical_lp`` on the steps ``d_k = w_k - w_{k+1} >= 0``
     (``w_{t+1} = 0``), under which a vector weighs ``sum_k C_k d_k`` over
     its prefix sums ``C``, so the order needs no rows.  A weighted verdict
-    is certified in integers by ``_check_ordered_certificate`` before it is
-    returned.
+    is certified in integers before it is returned: the steps, scaled by
+    the lcm of their denominators, must give the lightest row more weight
+    than every losing vector (``_check_step_certificate``).  That row's
+    weight is a quota for every winning vector, since each dominates some
+    row and so weighs at least the lightest.
     """
-    alpha, steps = _critical_lp(
-        len(shift_min[0]),
-        [prefix_sums(v) for v in shift_min],
-        [prefix_sums(u) for u in losing],
-    )
+    rows = [prefix_sums(v) for v in shift_min]
+    losing_sums = [prefix_sums(u) for u in losing]
+    alpha, steps = _critical_lp(len(rows[0]), rows, losing_sums)
     if alpha >= 1:
         return False
-    # scaled by the common denominator of the steps, every row weighs at
-    # least the scale and every losing vector at most alpha times it; the
-    # class weights are the suffix sums of the scaled steps
-    quota = lcm(*(x.denominator for x in steps))
-    scaled = (x.numerator * (quota // x.denominator) for x in reversed(steps))
-    weights = list(accumulate(scaled))[::-1]
-    _check_ordered_certificate(shift_min, losing, weights, quota)
+    scale = lcm(*(x.denominator for x in steps))
+    scaled = [x.numerator * (scale // x.denominator) for x in steps]
+    lightest = min(rows, key=lambda c: sum(map(mul, c, scaled)))
+    _check_step_certificate(lightest, losing_sums, scaled)
     return True
 
 
-def _check_ordered_certificate(shift_min, losing, weights, quota) -> None:
-    """Check in integers that non-increasing, non-negative class weights
-    give every shift-minimal row at least ``quota`` and every shift-maximal
-    losing vector less; raise ``InvariantError`` otherwise."""
+def _check_step_certificate(row_sums, losing_sums, steps) -> None:
+    """Check in integers that non-negative steps ``d`` give the row with
+    prefix sums ``row_sums`` more weight than each prefix-sum sequence in
+    ``losing_sums``; raise ``InvariantError`` otherwise.
 
-    def weight(v) -> int:
-        return sum(map(mul, v, weights))
-
-    if weights[-1] < 0 or any(map(lt, weights, weights[1:])):
-        raise InvariantError("certificate weights are not ordered")
-    if any(weight(v) < quota for v in shift_min):
-        raise InvariantError("a shift-minimal row weighs less than the quota")
-    if any(weight(u) >= quota for u in losing):
-        raise InvariantError("a shift-maximal losing vector reaches the quota")
+    A vector with prefix sums ``C`` weighs ``C d`` under the class weights
+    ``w_k = d_k + ... + d_t``, which are non-negative and ordered.  The row
+    passed is the game's lightest winning row under ``d`` (its only row for
+    a single-row game), so every winning vector, which has ``C`` at least
+    some row's prefix sums, weighs at least the row, and every losing one
+    lies below one of ``losing_sums``: the row's weight is a quota that
+    separates them."""
+    if any(x < 0 for x in steps):
+        raise InvariantError("certificate steps are negative")
+    quota = sum(map(mul, row_sums, steps))
+    if any(sum(map(mul, g, steps)) >= quota for g in losing_sums):
+        raise InvariantError("a losing sequence reaches the quota")

@@ -35,11 +35,12 @@ from functools import partial
 from operator import ge, gt, mul, neg, sub
 from typing import Callable, Iterator, Optional
 
-from .bounds import is_weighted_vectors
+from .bounds import _check_step_certificate, is_weighted_vectors
 from .games import (
     CapacityError,
     CompleteGame,
     InvariantError,
+    _greatest_losing,
     antichains,
     prefix_sums,
     shift_maximal_losing_vectors,
@@ -383,17 +384,6 @@ def is_weighted_r1(sizes, row) -> bool:
     return False
 
 
-def _greatest_losing(o, p) -> list[list[int]]:
-    """The greatest losing prefix-sum sequence ``G^(i)`` of each class i of
-    the single-row game with prefix sums ``o`` of the class sizes and ``p``
-    of the row: ``min(O_k, P_i - 1)`` for ``k < i``, ``P_i - 1 + O_k -
-    O_i`` for ``k >= i``."""
-    return [
-        [min(ok, pi - 1) for ok in o[:i]] + [pi - 1 - oi + ok for ok in o[i:]]
-        for i, (oi, pi) in enumerate(zip(o, p))
-    ]
-
-
 def _bareiss(rows) -> list[list[int]]:
     """Fraction-free Gaussian elimination without pivoting, row by row, of
     the integer ``rows`` of a square matrix (further columns ride along).
@@ -429,23 +419,6 @@ def _back_substitute(m) -> list[int]:
         rest = sum(map(mul, r[k + 1 : s], x[k + 1 :]))
         x[k] = (det * r[s] - rest) // r[k]
     return x
-
-
-def _check_step_certificate(row_sums, losing_sums, steps) -> None:
-    """Check in integers that non-negative steps ``d`` give the row with
-    prefix sums ``row_sums`` more weight than each prefix-sum sequence in
-    ``losing_sums``; raise ``InvariantError`` otherwise.
-
-    A vector with prefix sums ``C`` weighs ``C d`` under the class weights
-    ``w_k = d_k + ... + d_t``, which are non-negative and ordered.  Every
-    winning vector has ``C >= row_sums`` and every losing one lies below
-    one of ``losing_sums``, so the row's weight is a quota that separates
-    them."""
-    if any(x < 0 for x in steps):
-        raise InvariantError("certificate steps are negative")
-    quota = sum(map(mul, row_sums, steps))
-    if any(sum(map(mul, g, steps)) >= quota for g in losing_sums):
-        raise InvariantError("a losing sequence reaches the quota")
 
 
 def _check_trade_certificate(row_sums, losing_sums, lam) -> None:

@@ -295,8 +295,7 @@ def cmd_census(args) -> int:
                 "n": r.n,
                 "class": r.klass,
                 "counts": {("inf" if k is None else str(k)): v
-                           for k, v in sorted(r.counts.items(),
-                                              key=lambda kv: (kv[0] is not None, kv[0]))},
+                           for k, v in r.counts.items()},
             }
             for r in rows
         ]

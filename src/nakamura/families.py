@@ -173,9 +173,15 @@ def _marked_subset_game(n: int, t: int, k: int) -> SimpleGame:
     return simple_game(n, minimal, validate=False)
 
 
-def _padding_ceiling(qbar: Fraction, denom: int) -> int:
-    # ceil(1 / (1 - c / denom)) for the quota c = ceil(qbar * denom)
+def _padding_ceiling(tag: str, qbar: Fraction, denom: int) -> int:
+    # ceil(1 / (1 - c / denom)) for the quota c = ceil(qbar * denom); at
+    # c = denom every player is a vetoer and the ceiling is undefined
     c = ceil(qbar * denom)
+    _require(
+        c < denom,
+        f"{tag} needs qbar <= {denom - 1}/{denom}, a quota below the "
+        f"total weight {denom}",
+    )
     return -(-denom // (denom - c))
 
 
@@ -195,7 +201,8 @@ def _unit_padding(weights, qbar, r: int) -> PaddedGame:
     omega = sum(ws)
     rep = WeightedRep(qbar * (omega + r), tuple(ws) + (1,) * r)
     met = r >= omega and r * (1 - qbar) >= 2 + max(ws)
-    return PaddedGame(rep, _padding_ceiling(qbar, omega + r), met)
+    ceiling = _padding_ceiling("unit-padding", qbar, omega + r)
+    return PaddedGame(rep, ceiling, met)
 
 
 def _replica(weights, qbar, r: int) -> PaddedGame:
@@ -206,7 +213,7 @@ def _replica(weights, qbar, r: int) -> PaddedGame:
     _require(r >= 1, "replica needs r >= 1")
     omega = sum(ws)
     rep = WeightedRep(qbar * omega * r, tuple(w for w in ws for _ in range(r)))
-    return PaddedGame(rep, _padding_ceiling(qbar, omega * r), False)
+    return PaddedGame(rep, _padding_ceiling("replica", qbar, omega * r), False)
 
 
 # ---------------------------------------------------------------------------

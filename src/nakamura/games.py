@@ -764,15 +764,11 @@ def shift_maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
     maximal meets.
     """
     o = prefix_sums(g.class_sizes)
-    t = len(o)
     kept = None
     for row in g.shift_min:
         p = prefix_sums(row)
         candidates = [
-            tuple(min(ok, p[i] - 1) for ok in o[:i])
-            + tuple(p[i] - 1 + ok - o[i] for ok in o[i:])
-            for i in range(t)
-            if p[i]
+            tuple(s) for s, pi in zip(_greatest_losing(o, p), p) if pi
         ]
         if kept is not None:
             candidates = [
@@ -782,6 +778,17 @@ def shift_maximal_losing_vectors(g: CompleteGame) -> list[tuple[int, ...]]:
     return sorted(
         (tuple(map(sub, s, (0,) + s[:-1])) for s in kept), reverse=True
     )
+
+
+def _greatest_losing(o, p) -> list[list[int]]:
+    """The greatest losing prefix-sum sequence ``G^(i)`` of each class i of
+    the single-row game with prefix sums ``o`` of the class sizes and ``p``
+    of the row: ``min(O_k, P_i - 1)`` for ``k < i``, ``P_i - 1 + O_k -
+    O_i`` for ``k >= i``."""
+    return [
+        [min(ok, pi - 1) for ok in o[:i]] + [pi - 1 - oi + ok for ok in o[i:]]
+        for i, (oi, pi) in enumerate(zip(o, p))
+    ]
 
 
 def _maximal_sequences(seqs) -> list[tuple[int, ...]]:

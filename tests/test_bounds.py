@@ -275,21 +275,20 @@ def test_alpha_critical_vector_level_agrees():
         assert (vec < 1) == (player < 1) == is_weighted_complete(g)
 
 
-def test_ordered_certificate_rejects_broken_certificates():
-    from nakamura.bounds import _check_ordered_certificate
+def test_step_certificate_rejects_broken_certificates():
+    from nakamura.bounds import _check_step_certificate
 
     # [3; 2, 1, 1]: classes (1, 2), one shift-minimal row (1, 1), and the
-    # shift-maximal losing vectors (1, 0) and (0, 2)
-    rows, losing = [(1, 1)], [(1, 0), (0, 2)]
-    _check_ordered_certificate(rows, losing, [2, 1], 3)
-    for weights, quota in (
-        ([1, 2], 3),  # not ordered
-        ([2, -1], 1),  # negative
-        ([2, 1], 4),  # the row falls short of the quota
-        ([2, 1], 2),  # a losing vector reaches the quota
+    # shift-maximal losing vectors (1, 0) and (0, 2), all as prefix sums
+    row, losing = (1, 2), [(1, 1), (0, 2)]
+    _check_step_certificate(row, losing, (1, 1))
+    for steps in (
+        (-1, 2),  # negative
+        (3, -1),  # negative
+        (1, 0),  # the losing (1, 0) weighs as much as the row
     ):
         with pytest.raises(InvariantError):
-            _check_ordered_certificate(rows, losing, weights, quota)
+            _check_step_certificate(row, losing, steps)
 
 
 def test_weighted_verdict_checks_its_certificate(monkeypatch):
@@ -301,6 +300,24 @@ def test_weighted_verdict_checks_its_certificate(monkeypatch):
     # steps (1, 0): class weights (1, 0), under which (1, 0) weighs as
     # much as the row
     wrong = (Fraction(1, 2), (Fraction(1), Fraction(0)))
+    monkeypatch.setattr(bounds, "_critical_lp", lambda *args: wrong)
+    with pytest.raises(InvariantError):
+        is_weighted_vectors(rows, losing)
+
+
+def test_weighted_verdict_checks_the_lightest_row(monkeypatch):
+    from nakamura import bounds
+    from nakamura.bounds import is_weighted_vectors
+    from nakamura.games import CompleteGame, shift_maximal_losing_vectors
+
+    # classes (1, 4, 1): under steps (1, 1, 0) the rows weigh 5 and 4, and
+    # both losing vectors weigh 4, as much as the lighter row, so steps
+    # that pass against the first row alone must still be refused
+    rows = ((1, 3, 0), (0, 4, 1))
+    losing = shift_maximal_losing_vectors(CompleteGame((1, 4, 1), rows))
+    assert losing == [(1, 2, 1), (0, 4, 0)]
+    assert is_weighted_vectors(rows, losing)
+    wrong = (Fraction(1, 2), (Fraction(1), Fraction(1), Fraction(0)))
     monkeypatch.setattr(bounds, "_critical_lp", lambda *args: wrong)
     with pytest.raises(InvariantError):
         is_weighted_vectors(rows, losing)

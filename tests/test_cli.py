@@ -122,6 +122,20 @@ def test_golden_output(name, command, capsys):
     assert out == expected
 
 
+# the benchmark's census workload checks each command's stdout against the
+# text recorded under that command in bench/expected.json
+BENCH_EXPECTED = json.loads(
+    (Path(__file__).parent.parent / "bench" / "expected.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "command", [k for k in BENCH_EXPECTED if k != "games_per_pass"]
+)
+def test_bench_census_commands_print_the_recorded_text(command, capsys):
+    assert run(capsys, *command.split()) == (0, BENCH_EXPECTED[command])
+
+
 def test_nakamura_witness(tmp_path, capsys):
     path = write(tmp_path, "m.game", "weighted\nquota: 2\nweights: 1 1 1\n")
     code, out = run(capsys, "nakamura", path, "--witness")
@@ -159,9 +173,10 @@ def test_census_row10_first_column(capsys):
 def test_census_json(capsys):
     code, out = run(capsys, "census", "5", "5", "complete_r1", "--json")
     payload = json.loads(out)
-    assert payload[0]["counts"] == {
-        "inf": 16, "2": 9, "3": 4, "4": 1, "5": 1,
-    }
+    # the printed key order, not only the dict: inf first, then ascending
+    assert list(payload[0]["counts"].items()) == [
+        ("inf", 16), ("2", 9), ("3", 4), ("4", 1), ("5", 1),
+    ]
 
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["csv", "json"])
@@ -234,8 +249,19 @@ def test_family_padding(capsys):
         (["nearmax-1"], "family nearmax-1 needs --n"),
         (["circle", "--n", "8"], "family circle needs --t"),
         (["replica", "--weights", "2,1", "--qbar", "1/0", "--r", "3"], "--qbar"),
+        (
+            ["unit-padding", "--weights", "1", "--qbar", "99/100", "--r", "1"],
+            "unit-padding needs qbar <= 1/2",
+        ),
+        (
+            ["replica", "--weights", "1,1", "--qbar", "9/10", "--r", "1"],
+            "replica needs qbar <= 1/2",
+        ),
     ],
-    ids=["k-out-of-range", "missing-n", "missing-t", "qbar-over-zero"],
+    ids=[
+        "k-out-of-range", "missing-n", "missing-t", "qbar-over-zero",
+        "unit-padding-quota-at-total", "replica-quota-at-total",
+    ],
 )
 def test_family_bad_params_exit_code(capsys, argv, message):
     assert main(["family", *argv]) == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import (
@@ -122,6 +124,9 @@ def test_parameter_violations_name_the_range():
         family("marked-subset", n=8, t=6, k=3)
     with pytest.raises(InvalidGameError, match="unknown family"):
         family("no-such-tag")
+    # ceil(99/100 * 2) = 2: every player would be a vetoer
+    with pytest.raises(InvalidGameError, match="qbar <= 1/2"):
+        family("unit-padding", weights=[1], qbar=Fraction(99, 100), r=1)
 
 
 # ---------------------------------------------------------------------------
