@@ -49,7 +49,14 @@ from .bounds import (
     max_quota_lp,
     weighted_bounds,
 )
-from .census import CensusRow, census, count_r1, enumerate_complete, enumerate_r1
+from .census import (
+    CensusRow,
+    census,
+    census_rows,
+    count_r1,
+    enumerate_complete,
+    enumerate_r1,
+)
 from .cutting import (
     CspInstance,
     conjecture_roundup_probe,

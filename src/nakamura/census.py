@@ -9,22 +9,25 @@ O of the class sizes and P of the row, so the complete census counts them
 by one forward DP over the classes, with state (O_j, O_j - P_j, running
 value), and builds no game.  Each round closes every state with a last
 class and extends it by a middle one, so one pass counts every class
-count t.  A single game is decided without an LP (``is_weighted_r1``):
-it is weighted iff one small integer Z-matrix D, built from O, P and the
-greatest losing prefix sequences, is a nonsingular M-matrix, iff its
-leading principal minors are positive, tested by a Bareiss elimination.
-The leading j x j block of D reads only the first j classes, so the
-weighted census builds no game either: it walks prefixes of classes
-depth first, carries the determinant and adjugate of each prefix's
-block, borders them by one class per step, and drops a prefix whose
-minor is not positive together with every game that extends it, since
-the later columns of D are non-positive in that block's rows whatever
-the later classes are.  Every verdict is certified in integers: a
-weighted one by ordered class weights (as non-negative steps) and a
-quota, a not-weighted one, or a pruned prefix, by non-negative
-multipliers on losing vectors whose combined prefix sums reach as many
-copies of the row's.  Complete games with several shift-minimal rows
-keep the ordered-weight LP (``bounds.is_weighted_vectors``).
+count t.  No state reads n, only the closing last class does, so the same
+pass counts every n of a range (``census_rows``).  A single game is
+decided without an LP (``is_weighted_r1``): it is weighted iff one small
+integer Z-matrix D, built from O, P and the greatest losing prefix
+sequences, is a nonsingular M-matrix, iff its leading principal minors
+are positive, tested by a Bareiss elimination.  The leading j x j block
+of D reads only the first j classes, so the weighted census builds no
+game either: it walks prefixes of classes depth first, carries the
+determinant and adjugate of each prefix's block, borders them by one
+class per step, and drops a prefix whose minor is not positive together
+with every game that extends it, since the later columns of D are
+non-positive in that block's rows whatever the later classes are.  A
+prefix is the same for every n above its sum, so one search serves a
+range of n too.  Every verdict is certified in integers: a weighted one
+by ordered class weights (as non-negative steps) and a quota, a
+not-weighted one, or a pruned prefix, by non-negative multipliers on
+losing vectors whose combined prefix sums reach as many copies of the
+row's.  Complete games with several shift-minimal rows keep the
+ordered-weight LP (``bounds.is_weighted_vectors``).
 """
 
 from __future__ import annotations
@@ -143,77 +146,99 @@ class CensusRow:
 def census(
     n: int, klass: str = COMPLETE_R1, *, cap: int = CENSUS_CAP
 ) -> CensusRow:
-    """Count single-row complete (or weighted) games per Nakamura value.
+    """Count single-row complete (or weighted) games on n players per
+    Nakamura value: the one row of ``census_rows(n, n, klass, cap=cap)``."""
+    return census_rows(n, n, klass, cap=cap)[0]
 
-    Neither census builds a game.  ``_complete_r1_counts`` counts the
-    prefix sums of class sizes and row.  ``_weighted_r1_counts`` searches
-    prefixes of classes with the ``is_weighted_r1`` M-matrix test carried
-    from each prefix to its extensions, and prunes a prefix whose leading
-    minor is not positive with every game below it: the trade that
-    certifies the prefix holds for every extension, because the later
-    columns of the Z-matrix are non-positive in the prefix's rows.  Every
-    weighted game and every pruned prefix passes an integer certificate
-    check.  The counts come with ``None`` (infinite) first, then the
-    values ascending.  Both stop above ``cap`` players.
+
+def census_rows(
+    nmin: int, nmax: int, klass: str = COMPLETE_R1, *, cap: int = CENSUS_CAP
+) -> list[CensusRow]:
+    """Count single-row complete (or weighted) games per Nakamura value for
+    every n in ``nmin..nmax``, by one pass that serves the whole range.
+
+    Neither census builds a game, and a prefix of classes is shared by
+    every n above its own sum: only the closing last class reads n.
+    ``_complete_r1_counts`` counts the prefix sums of class sizes and row.
+    ``_weighted_r1_counts`` searches prefixes of classes with the
+    ``is_weighted_r1`` M-matrix test carried from each prefix to its
+    extensions, and prunes a prefix whose leading minor is not positive
+    with every game below it, for every n: the trade that certifies the
+    prefix holds for every extension, because the later columns of the
+    Z-matrix are non-positive in the prefix's rows.  Every weighted game
+    and every pruned prefix passes one integer certificate check.  Each
+    row's counts come with ``None`` (infinite) first, then the values
+    ascending.  The arguments and ``cap`` are checked before any counting:
+    a range above ``cap`` players names its first n over the cap.
     """
     if klass not in (COMPLETE_R1, WEIGHTED_R1):
         raise ValueError(f"unknown census class {klass!r}")
-    if n > cap:
+    if nmin > nmax:
+        raise ValueError(f"nmin {nmin} exceeds nmax {nmax}")
+    _check_census_args(nmin)
+    if nmax > cap:
         raise CapacityError(
-            f"census for n={n} exceeds the configured cap of {cap}"
+            f"census for n={max(nmin, cap + 1)} exceeds the configured cap"
+            f" of {cap}"
         )
-    _check_census_args(n)
-    if klass == COMPLETE_R1:
-        counts = _complete_r1_counts(n)
-    else:
-        counts = _weighted_r1_counts(n)
-    order = sorted(counts, key=lambda v: -1 if v is None else v)
-    return CensusRow(n, klass, {v: counts[v] for v in order})
+    count = _complete_r1_counts if klass == COMPLETE_R1 else _weighted_r1_counts
+    rows = []
+    for n, counts in count(nmin, nmax).items():
+        order = sorted(counts, key=lambda v: -1 if v is None else v)
+        rows.append(CensusRow(n, klass, {v: counts[v] for v in order}))
+    return rows
 
 
-def _complete_r1_counts(n: int) -> dict:
-    """Per-value counts of the single-row complete games, by one forward DP
-    over the classes that serves every class count t at once.
+def _complete_r1_counts(nmin: int, nmax: int) -> dict:
+    """Per-value counts of the single-row complete games for each n in
+    ``nmin..nmax``, by one forward DP over the classes that serves every
+    class count t and every n at once.
 
     A state after class j is ``(O_j, O_j - P_j, v_j)``: the prefix sum of
     the class sizes, its deficit over the row's, and the running
     ``max ceil(O_i / (O_i - P_i))`` (None once ``m_1 = n_1``, the deficit
-    then dropped so those states merge).  The t = 1 games are counted at
-    once, and the first class seeds the states.  Each round closes every
-    state with a last class of size ``n - O_j`` (``m_t in 0..n_t - 1``,
-    deficit step 1..n_t) and extends it by a middle class of size 2 up to
-    ``n - O_j - 1`` (``m_j in 1..n_j - 1``; a middle class of size 1
-    admits no row).  The DP stops when no state is left.
+    then dropped so those states merge); none of it reads n.  The t = 1
+    games are counted at once, and the first class seeds the states.  Each
+    round closes every state, for each n past ``O_j``, with a last class of
+    size ``n - O_j`` (``m_t in 0..n_t - 1``, deficit step 1..n_t) and
+    extends it by a middle class of size 2 up to ``nmax - O_j - 1``
+    (``m_j in 1..n_j - 1``; a middle class of size 1 admits no row).  The
+    DP stops when no state is left.
     """
-    # t = 1: m_1 = n is infinite, else the deficit is e = n - m_1
-    counts: dict = {None: 1}
-    for e in range(1, n):
-        v = -(-n // e)
-        counts[v] = counts.get(v, 0) + 1
+    counts: dict = {}
+    for n in range(nmin, nmax + 1):
+        # t = 1: m_1 = n is infinite, else the deficit is e = n - m_1
+        row = counts[n] = {None: 1}
+        for e in range(1, n):
+            v = -(-n // e)
+            row[v] = row.get(v, 0) + 1
     # the first class of a longer composition: m_1 in 1..n_1
     states: dict = {}
-    for a in range(1, n):
+    for a in range(1, nmax):
         states[(a, 0, None)] = 1
         for e in range(1, a):
             states[(a, e, -(-a // e))] = 1
     while states:
         nxt: dict = {}
         for (o, d, v), c in states.items():
-            last = n - o
+            closing = range(max(nmin, o + 1), nmax + 1)
             if v is None:
                 # infinite whatever the later rows are: count them by size
-                counts[None] += c * last
-                for a in range(2, last):
+                for n in closing:
+                    counts[n][None] += c * (n - o)
+                for a in range(2, nmax - o):
                     key = (o + a, 0, None)
                     nxt[key] = nxt.get(key, 0) + c * (a - 1)
                 continue
             # close: the new deficit is d + n_t - m_t, m_t in 0..n_t - 1
-            for e in range(d + 1, d + last + 1):
-                w = -(-n // e)
-                w = v if v > w else w
-                counts[w] = counts.get(w, 0) + c
+            for n in closing:
+                row = counts[n]
+                for e in range(d + 1, d + n - o + 1):
+                    w = -(-n // e)
+                    w = v if v > w else w
+                    row[w] = row.get(w, 0) + c
             # extend: the new deficit is d + n_j - m_j, m_j in 1..n_j - 1
-            for a in range(2, last):
+            for a in range(2, nmax - o):
                 o2 = o + a
                 for e in range(d + 1, d + a):
                     w = -(-o2 // e)
@@ -223,11 +248,11 @@ def _complete_r1_counts(n: int) -> dict:
     return counts
 
 
-def _weighted_r1_counts(n: int) -> dict:
-    """Per-value counts of the weighted single-row complete games, by a
-    depth-first search over prefixes of classes ``(n_j, m_j)`` that shares
-    each prefix's part of the ``is_weighted_r1`` test with every game
-    extending it.
+def _weighted_r1_counts(nmin: int, nmax: int) -> dict:
+    """Per-value counts of the weighted single-row complete games for each
+    n in ``nmin..nmax``, by one depth-first search over prefixes of classes
+    ``(n_j, m_j)`` that shares each prefix's part of the ``is_weighted_r1``
+    test with every game extending it, whatever its n.
 
     The leading block B of ``D`` over the first j classes reads only their
     prefix sums and deficits, and every node of the search has all leading
@@ -240,30 +265,34 @@ def _weighted_r1_counts(n: int) -> dict:
     ``lam = (-w, det(B)) >= 0`` gives ``lam A = (0, ..., 0, det(A))``, and
     every later column of ``D`` is ``<= 0`` in A's rows whatever the later
     classes are, so the trade checked on the prefix columns holds for every
-    game below.  A node closes with the last class: ``m_t = 0`` is weighted
-    with steps ``(adj(B) 1, 0)``, ``m_t >= 1`` is weighted iff its bordered
-    ``det(A) > 0``, with steps ``adj(A) 1``, and otherwise gets its own
-    trade.  Every weighted game's steps are checked as well.
+    game below, at ``n = O_z`` and past it.  A node closes with ``m_t = 0``
+    for each n past ``O_j``, weighted with steps ``(adj(B) 1, 0)``.  A
+    border with ``det(A) > 0`` is the weighted leaf at ``n = O_z``, with
+    steps ``adj(A) 1``, and a node for every larger n.  Every weighted
+    game's steps are checked as well.
     """
-    counts: dict = {}
+    counts: dict = {n: {} for n in range(nmin, nmax + 1)}
 
     def grow(value, o, deficit):
         return None if value is None else max(value, -(-o // deficit))
 
-    def tally(value):
-        counts[value] = counts.get(value, 0) + 1
+    def tally(n, value):
+        row = counts[n]
+        row[value] = row.get(value, 0) + 1
 
     def visit(o, p, deficits, value, det_b, adj_b):
         oj, pj, dj = o[-1], p[-1], deficits[-1]
-        last = n - oj
         cols = list(zip(*adj_b))
         steps = [sum(r) for r in adj_b]
         # m_t = 0: row t is implied by row t - 1, and d_t = 0
-        o2, p2 = o + [n], p + [pj]
-        _check_step_certificate(p2, _greatest_losing(o2, p2), steps + [0])
-        tally(grow(value, n, dj + last))
-        # a middle class of size 2..last - 1, or the last class of size last
-        for size in range(2, last + 1):
+        p2 = p + [pj]
+        for n in range(max(nmin, oj + 1), nmax + 1):
+            o2 = o + [n]
+            _check_step_certificate(p2, _greatest_losing(o2, p2), steps + [0])
+            tally(n, grow(value, n, dj + n - oj))
+        # a class of size 2..nmax - O_j: the last class at n = O_z, and a
+        # middle class for every larger n
+        for size in range(2, nmax - oj + 1):
             oz = oj + size
             o2 = o + [oz]
             for x in range(1, size):
@@ -277,7 +306,9 @@ def _weighted_r1_counts(n: int) -> dict:
                 if det_a <= 0:
                     lam = [*map(neg, w), det_b]
                     _check_trade_certificate(p2, _greatest_losing(o2, p2), lam)
-                elif size == last:
+                    continue
+                grown = grow(value, oz, dz)
+                if oz >= nmin:
                     sigma = sum(w)
                     leaf = [
                         (det_a * s + sigma * y) // det_b - y
@@ -285,23 +316,23 @@ def _weighted_r1_counts(n: int) -> dict:
                     ]
                     leaf.append(det_b - sigma)
                     _check_step_certificate(p2, _greatest_losing(o2, p2), leaf)
-                    tally(grow(value, n, dz))
-                else:
+                    tally(oz, grown)
+                if oz < nmax:
                     adj_a = [
                         [(det_a * e + y * f) // det_b for e, f in zip(r, w)]
                         + [-y]
                         for r, y in zip(adj_b, v)
                     ]
                     adj_a.append([*map(neg, w), det_b])
-                    grown = grow(value, oz, dz)
                     visit(o2, p2, deficits + [dz], grown, det_a, adj_a)
 
     # t = 1: the weight 1 and the quota m_1
-    for x in range(1, n + 1):
-        _check_step_certificate([x], [[x - 1]], [1])
-        tally(None if x == n else grow(0, n, n - x))
+    for n in range(nmin, nmax + 1):
+        for x in range(1, n + 1):
+            _check_step_certificate([x], [[x - 1]], [1])
+            tally(n, None if x == n else grow(0, n, n - x))
     # the first class, m_1 in 1..n_1: its block is (1)
-    for size in range(1, n):
+    for size in range(1, nmax):
         for x in range(1, size + 1):
             value = None if x == size else grow(0, size, size - x)
             visit([size], [x], [size - x], value, 1, [[1]])

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import cutting, families, gamefiles
-from .census import CENSUS_CAP, COMPLETE_R1, WEIGHTED_R1, census as census_rows
+from .census import CENSUS_CAP, COMPLETE_R1, WEIGHTED_R1, census_rows
 from .exact import nakamura_complete, nakamura_exact, verify_witness
 from .games import (
     CapacityError,
@@ -60,6 +60,14 @@ def _load(path: str):
     except OSError as exc:
         raise gamefiles.ParseError(0, f"cannot read {path}: {exc}") from exc
     return gamefiles.parse_game(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _as_game(obj):
@@ -282,12 +290,7 @@ def _census_columns(n_max: int) -> list:
 
 def cmd_census(args) -> int:
     cap = 10 ** 9 if args.force else CENSUS_CAP
-    if args.nmin > args.nmax:
-        raise ValueError(f"nmin {args.nmin} exceeds nmax {args.nmax}")
-    rows = [
-        census_rows(n, args.klass, cap=cap)
-        for n in range(args.nmin, args.nmax + 1)
-    ]
+    rows = census_rows(args.nmin, args.nmax, args.klass, cap=cap)
     cols = _census_columns(args.nmax)
     if args.json:
         payload = [
@@ -309,8 +312,7 @@ def cmd_census(args) -> int:
             )
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -346,8 +348,7 @@ def cmd_family(args) -> int:
         print(f"# padding threshold met: {built.threshold_met}")
         print(f"# ceiling attained: {value == built.ceiling}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     return 0
 
 

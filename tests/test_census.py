@@ -15,8 +15,8 @@ from conftest import (
 from nakamura.census import (
     COMPLETE_R1,
     WEIGHTED_R1,
-    _complete_r1_counts,
     census,
+    census_rows,
     compositions,
     count_r1,
     enumerate_complete,
@@ -274,38 +274,50 @@ def test_weighted_r1_checks_both_certificates(monkeypatch, tamper):
 
 @pytest.mark.parametrize("tamper", ["negate", "zero"])
 @pytest.mark.parametrize(
-    "check, o, p",
+    "check, n, o, p",
     [
         # the weighted leaf of classes (1, 2, 4) and row (1, 1, 1), whose
         # steps come from the bordered adjugate of its first two classes
-        ("_check_step_certificate", [1, 3, 7], [1, 2, 3]),
-        # the prefix of classes (2, 4) and row (1, 2), pruned at n = 7
-        # above its last class of size 1
-        ("_check_trade_certificate", [2, 6], [1, 3]),
+        ("_check_step_certificate", 7, [1, 3, 7], [1, 2, 3]),
+        # the prefix of classes (2, 5) and row (1, 3), pruned once with its
+        # leaf at n = 7 and every extension, such as (2, 5, 1) at n = 8; no
+        # other prefix has its row and greatest losing sums
+        ("_check_trade_certificate", 8, [2, 7], [1, 4]),
     ],
     ids=["leaf-steps", "prefix-trade"],
 )
 def test_weighted_census_checks_leaf_and_prefix_certificates(
-    monkeypatch, check, o, p, tamper
+    monkeypatch, check, n, o, p, tamper
 ):
     assert is_weighted_r1((1, 2, 4), (1, 1, 1))
-    assert not is_weighted_r1((2, 4, 1), (1, 2, 0))
+    assert not is_weighted_r1((2, 5, 1), (1, 3, 0))
     module = importlib.import_module("nakamura.census")
     real = getattr(module, check)
     change = {"negate": lambda x: -x, "zero": lambda x: 0}[tamper]
     target = (p, module._greatest_losing(o, p))
     seen = []
+    tampering = []
 
     def tampered(row_sums, losing_sums, numbers):
         if (row_sums, losing_sums) == target:
             seen.append(numbers)
-            numbers = [change(x) for x in numbers]
+            if tampering:
+                numbers = [change(x) for x in numbers]
         real(row_sums, losing_sums, numbers)
 
     monkeypatch.setattr(module, check, tampered)
-    with pytest.raises(InvariantError):
-        census(7, WEIGHTED_R1)
-    assert len(seen) == 1
+    for run in (
+        lambda: census(n, WEIGHTED_R1),
+        lambda: census_rows(1, 9, WEIGHTED_R1),
+    ):
+        # the target is checked once per command, and tampered it stops it
+        tampering.clear()
+        seen.clear()
+        run()
+        assert len(seen) == 1
+        tampering.append(True)
+        with pytest.raises(InvariantError):
+            run()
 
 
 def test_trade_certificate_rejects_broken_trades():
@@ -340,10 +352,24 @@ def test_complete_census_matches_oracle():
         assert census(n).counts == oracle_census_r1(n), n
 
 
+def _rows_match_oracle(klass, ranges, oracle):
+    # census_rows over each range, row by row, against the per-n oracle
+    expected = {}
+    for lo, hi in ranges:
+        rows = census_rows(lo, hi, klass, cap=hi)
+        assert [r.n for r in rows] == list(range(lo, hi + 1)), (lo, hi)
+        for r in rows:
+            if r.n not in expected:
+                expected[r.n] = oracle(r.n)
+            assert r.counts == expected[r.n], (lo, hi, r.n)
+
+
 def test_complete_census_matches_per_class_count_dp():
-    # the one-pass DP against the DP run once per class count t
-    for n in range(1, 21):
-        assert _complete_r1_counts(n) == oracle_complete_r1_counts(n), n
+    # the one-pass DP over a range of n against the DP run once per n and
+    # class count t
+    _rows_match_oracle(
+        COMPLETE_R1, [(1, 20), (9, 16), (1, 1)], oracle_complete_r1_counts
+    )
 
 
 def test_complete_census_builds_no_game(monkeypatch):
@@ -370,10 +396,11 @@ def test_weighted_census_builds_no_game(monkeypatch):
 
 
 def test_weighted_census_matches_per_game_loop():
-    # the prefix search against deciding each game of enumerate_r1
-    for n in range(1, 15):
-        expected = oracle_weighted_r1_counts(n)
-        assert census(n, WEIGHTED_R1).counts == expected, n
+    # the prefix search over a range of n against deciding each game of
+    # enumerate_r1
+    _rows_match_oracle(
+        WEIGHTED_R1, [(1, 14), (5, 12), (7, 7)], oracle_weighted_r1_counts
+    )
 
 
 def test_weighted_games_have_at_most_four_classes():
@@ -416,6 +443,28 @@ def test_census_argument_errors():
             census(0, klass)
     with pytest.raises(ValueError, match="^unknown census class 'bogus'$"):
         census(4, "bogus")
+
+
+def test_census_rows_fail_before_counting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before the arguments were checked")
+
+    module = importlib.import_module("nakamura.census")
+    monkeypatch.setattr(module, "_complete_r1_counts", refuse)
+    monkeypatch.setattr(module, "_weighted_r1_counts", refuse)
+    for klass in (COMPLETE_R1, WEIGHTED_R1):
+        # a range over the cap names its first n over the cap
+        for lo, hi, first in ((1, 17, 17), (5, 30, 17), (18, 20, 18)):
+            with pytest.raises(CapacityError, match=f"^census for n={first} "):
+                census_rows(lo, hi, klass)
+        with pytest.raises(CapacityError, match="^census for n=13 .* of 12$"):
+            census_rows(3, 13, klass, cap=12)
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            census_rows(0, 20, klass)
+        with pytest.raises(ValueError, match="^nmin 5 exceeds nmax 3$"):
+            census_rows(5, 3, klass)
+    with pytest.raises(ValueError, match="^unknown census class 'bogus'$"):
+        census_rows(1, 30, "bogus")
 
 
 def test_minimal_maximal_vectors_against_lattice():

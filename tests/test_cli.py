@@ -203,6 +203,43 @@ def test_census_cap_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_census_range_over_the_cap_fails_before_counting(monkeypatch, capsys):
+    import importlib
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before the cap was checked")
+
+    module = importlib.import_module("nakamura.census")
+    monkeypatch.setattr(module, "_weighted_r1_counts", refuse)
+    assert main(["census", "1", "17", "weighted_r1"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "capacity error: census for n=17 exceeds the configured cap of 16\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "1", "3", "complete_r1"],
+        ["family", "nearmax-1", "--n", "5"],
+    ],
+    ids=["census", "family"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [(".", "Is a directory"), ("missing/out.txt", "No such file or directory")],
+    ids=["directory", "missing-directory"],
+)
+def test_out_path_that_cannot_be_written_exit_code(
+    argv, target, reason, tmp_path, capsys
+):
+    path = str(tmp_path / target)
+    assert main([*argv, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_census_reversed_range_exit_code(capsys):
     assert main(["census", "4", "2", "complete_r1"]) == 2
     out, err = capsys.readouterr()
